@@ -39,18 +39,15 @@ class InputError(Exception):
 def _load(paths) -> dsl.Document:
     if isinstance(paths, str):
         paths = [paths]
-    doc = dsl.Document()
+    parts = []
     for path in paths:
         try:
-            part = dsl.parse_file(path)
+            parts.append(dsl.parse_file(path))
         except (FileNotFoundError, IsADirectoryError):
             raise InputError(f"no such file: {path}")
         except dsl.ParseError as exc:
             raise InputError(f"{path}: {exc}")
-        doc.diagrams.update(part.diagrams)
-        doc.surfaces.update(part.surfaces)
-        doc.scripts.update(part.scripts)
-    return doc
+    return dsl._merge(parts)
 
 
 def _pick_diagrams(doc: dsl.Document, name: str | None):

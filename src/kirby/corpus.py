@@ -33,15 +33,11 @@ def data_root():
 
 def load_document() -> dsl.Document:
     """All corpus sources merged into one document."""
-    doc = dsl.Document()
-    root = data_root()
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith((".kd", ".ks")):
-            part = dsl.parse(entry.read_text(encoding="utf-8"))
-            doc.diagrams.update(part.diagrams)
-            doc.surfaces.update(part.surfaces)
-            doc.scripts.update(part.scripts)
-    return doc
+    return dsl._merge(
+        dsl.parse(entry.read_text(encoding="utf-8"))
+        for entry in sorted(data_root().iterdir(), key=lambda e: e.name)
+        if entry.name.endswith((".kd", ".ks"))
+    )
 
 
 def build_surface(spec: dsl.SurfaceSpec, doc: dsl.Document) -> SurfacePresentation:

@@ -511,6 +511,17 @@ def parse(text: str) -> Document:
     return _Parser(text).document()
 
 
+def _merge(parts) -> Document:
+    """One document holding every block of ``parts``; a later block
+    replaces an earlier one of the same name."""
+    doc = Document()
+    for part in parts:
+        doc.diagrams.update(part.diagrams)
+        doc.surfaces.update(part.surfaces)
+        doc.scripts.update(part.scripts)
+    return doc
+
+
 def parse_file(path) -> Document:
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())

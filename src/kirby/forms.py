@@ -9,7 +9,7 @@ exceptional classes, and passing to the orthogonal complement of a +-1 class
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from . import intmat

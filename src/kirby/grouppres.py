@@ -11,7 +11,7 @@ presentation reproduces the output exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import intmat
 from .intmat import AbelianGroup
@@ -587,30 +587,13 @@ def handlebody_pi1(d) -> GroupPresentation:
     circle, one relator per framed component spelling its passes through
     the dotted circles in order."""
     from . import pdcode
+    from .handlebody import _pass_words
 
     dotted = [c for c in d.components if c.kind == pdcode.DOTTED]
     gen_index = {c.id: i + 1 for i, c in enumerate(dotted)}
-
-    # passes are stored on the round dotted components; regroup by the
-    # passing edge's owner, ordered along that component
-    owner = d.edge_owner()
-    by_comp: dict[str, list] = {}
-    for c in dotted:
-        for p in c.through:
-            cid = owner.get(p.edge)
-            if cid is None:
-                raise GroupError(f"pass references unknown edge {p.edge}")
-            by_comp.setdefault(cid, []).append((p.edge, p.seq, gen_index[c.id], p.sign))
-
     relators = []
-    for comp in d.components:
-        if comp.kind != pdcode.FRAMED:
-            continue
-        passes = by_comp.get(comp.id, [])
-        edge_pos = {e: i for i, e in enumerate(comp.edges)}
-        passes.sort(key=lambda t: (edge_pos.get(t[0], 0), t[1]))
-        word = tuple(s * g for _, _, g, s in passes)
-        w = cyclic_reduce(word)
+    for word in _pass_words(d).values():
+        w = cyclic_reduce(tuple(s * gen_index[dot] for dot, s in word))
         if w:
             relators.append(w)
     gens = tuple(c.id for c in dotted)

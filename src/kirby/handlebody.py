@@ -8,8 +8,9 @@ homology, intersection form, boundary homology, extension certificates,
 and equivariance bookkeeping for marked symmetric diagrams.
 
 Slides and cancellations operate at the algebraic level: the result is a
-diagram whose components are free loops carrying exact pairwise linking
-numbers (as abstract crossings), framings, and through-pass words.  Every
+diagram whose components are free loops carrying framings, through-pass
+words and exact pairwise linking numbers, each held once as a single
+abstract crossing of multiplicity 2*|lk| per linked pair.  Every
 invariant defined on such diagrams (homology, forms, fundamental group)
 transforms by the textbook formulas, which the tests check against
 independent matrix congruence oracles.
@@ -17,7 +18,7 @@ independent matrix congruence oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import forms, intmat, pdcode
 from .forms import BilinearForm
@@ -75,16 +76,10 @@ class _Model:
         return self.lk.get(frozenset((a, b)), 0)
 
 
-def _model_from_diagram(d: Diagram) -> _Model:
-    order = [c.id for c in d.components]
-    kind = {c.id: c.kind for c in d.components}
-    framing = {c.id: c.framing if c.framing is not None else 0 for c in d.components}
-    lk = {}
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            v = pdcode.linking_number(d, a, b)
-            if v:
-                lk[frozenset((a, b))] = v
+def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
+    """The pass word of every framed component, keyed by its id."""
+    # passes are stored on the round dotted components; regroup them by the
+    # passing edge's owner, ordered along that component
     owner = d.edge_owner()
     per_comp: dict[str, list] = {}
     for dot in d.components:
@@ -103,7 +98,21 @@ def _model_from_diagram(d: Diagram) -> _Model:
         pos = {e: i for i, e in enumerate(c.edges)}
         passes.sort(key=lambda t: (pos.get(t[0], 0), t[1]))
         words[c.id] = [(dot, s) for _, _, dot, s in passes]
-    return _Model(order, kind, framing, lk, words)
+    return words
+
+
+def _model_from_diagram(d: Diagram) -> _Model:
+    order = [c.id for c in d.components]
+    kind = {c.id: c.kind for c in d.components}
+    q = pdcode.linking_matrix(d)
+    framing = {a: q[i][i] for i, a in enumerate(order)}
+    lk = {
+        frozenset((a, b)): q[i][j]
+        for i, a in enumerate(order)
+        for j, b in enumerate(order[i + 1:], i + 1)
+        if q[i][j]
+    }
+    return _Model(order, kind, framing, lk, _pass_words(d))
 
 
 def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
@@ -129,7 +138,6 @@ def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
                 )
             )
     crossings = []
-    n = 0
     for key, v in sorted(m.lk.items(), key=lambda kv: sorted(kv[0])):
         a, b = sorted(key)
         if m.kind[a] == pdcode.DOTTED or m.kind[b] == pdcode.DOTTED:
@@ -137,16 +145,12 @@ def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
                 s for dot, s in m.words.get(a, m.words.get(b, [])) if dot in key
             )
             v = v - contribution  # passes already account for this much
-        sign = 1 if v > 0 else -1
-        for _ in range(2 * abs(v)):
-            crossings.append(Crossing(f"ax{n}", sign, between=(a, b)))
-            n += 1
+        if v:
+            crossings.append(Crossing(
+                f"ax{len(crossings)}", 1 if v > 0 else -1,
+                between=(a, b), count=2 * abs(v),
+            ))
     return Diagram(name, tuple(comps), tuple(crossings))
-
-
-def _abstract(h: Handlebody) -> tuple[_Model, Handlebody]:
-    m = _model_from_diagram(h.diagram)
-    return m, h
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +161,10 @@ def pass_matrix(d: Diagram) -> tuple[list[list[int]], list[str], list[str]]:
     """Algebraic pass counts: rows = dotted circles, columns = 2-handles."""
     dots = [c.id for c in d.components if c.kind == pdcode.DOTTED]
     framed = [c.id for c in d.components if c.kind == pdcode.FRAMED]
-    m = _model_from_diagram(d)
+    words = _pass_words(d)
     p = intmat.zeros(len(dots), len(framed))
     for j, fid in enumerate(framed):
-        for dot, s in m.words.get(fid, []):
+        for dot, s in words[fid]:
             p[dots.index(dot)][j] += s
     return p, dots, framed
 
@@ -665,16 +669,15 @@ def marking_is_automorphism(d: Diagram, marking: SymmetryMarking) -> bool:
         img = d.component(cmap[c.id])
         if (c.kind, c.framing) != (img.kind, img.framing):
             return False
+    q = pdcode.linking_matrix(d)
+    pos = {c.id: i for i, c in enumerate(d.components)}
     for a in ids:
         for b in ids:
-            if a < b:
-                if pdcode.linking_number(d, a, b) != pdcode.linking_number(
-                    d, cmap[a], cmap[b]
-                ):
-                    return False
-    m = _model_from_diagram(d)
-    for fid, word in m.words.items():
-        img_word = m.words.get(cmap[fid], [])
+            if a < b and q[pos[a]][pos[b]] != q[pos[cmap[a]]][pos[cmap[b]]]:
+                return False
+    words = _pass_words(d)
+    for fid, word in words.items():
+        img_word = words.get(cmap[fid], [])
         mapped = [(cmap[dt], s) for dt, s in word]
         rotations = [
             img_word[k:] + img_word[:k] for k in range(max(len(img_word), 1))

@@ -18,15 +18,18 @@ Two deliberate representation choices:
   blowdowns, directly readable.
 
 Crossings may also be *abstract*: a signed incidence between two
-components without planar data.  Handle slides synthesize such records;
-all linking/homology computations treat them uniformly, while moves that
-need honest planar structure (Reidemeister, Wirtinger) refuse them.
+components without planar data, carrying a multiplicity ``count`` so that
+one record stands for ``count`` crossings of the same sign.  Handle slides
+and cancellations synthesize such records, one per linked pair; all
+linking/homology computations read them in the same single pass as
+geometric crossings, twist boxes and through-passes, while moves that need
+honest planar structure (Reidemeister, Wirtinger) refuse them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 FRAMED = "framed"
 DOTTED = "dotted"
@@ -71,7 +74,9 @@ class Component:
 class Crossing:
     """Geometric: ``edges`` in planar cyclic order, strands are the slot
     pairs (0,2) and (1,3), ``over`` names the over pair by parity.
-    Abstract: ``between`` holds the two component ids and ``edges`` is empty.
+    Abstract: ``between`` holds the two component ids, ``edges`` is empty
+    and ``count`` (at least 1) copies of the signed crossing stand in this
+    one record; geometric crossings keep ``count`` 1.
     """
 
     id: str
@@ -79,6 +84,7 @@ class Crossing:
     edges: tuple[str, str, str, str] | None = None
     over: int = 0  # 0 -> pair (0,2) is over, 1 -> pair (1,3)
     between: tuple[str, str] | None = None
+    count: int = 1
 
     @property
     def is_geometric(self) -> bool:
@@ -90,9 +96,6 @@ class Crossing:
 
     def over_pair(self) -> tuple[str, str]:
         return self.strand_pairs()[self.over]
-
-    def under_pair(self) -> tuple[str, str]:
-        return self.strand_pairs()[1 - self.over]
 
 
 @dataclass(frozen=True)
@@ -142,15 +145,6 @@ class Diagram:
             for e in c.edges:
                 owner[e] = c.id
         return owner
-
-    def framed_components(self) -> list[Component]:
-        return [c for c in self.components if c.kind == FRAMED]
-
-    def dotted_components(self) -> list[Component]:
-        return [c for c in self.components if c.kind == DOTTED]
-
-    def with_name(self, name: str) -> "Diagram":
-        return replace(self, name=name)
 
     def fresh_id(self, prefix: str) -> str:
         used = {c.id for c in self.components}
@@ -522,25 +516,27 @@ def validate(d: Diagram) -> list[str]:
                 out.append(f"edge {e}: used by components {owner[e]} and {c.id}")
             owner[e] = c.id
 
-    edge_uses: dict[str, int] = {}
     for x in d.crossings:
         if x.sign not in (1, -1):
             out.append(f"crossing {x.id}: sign must be +-1")
         if x.is_geometric:
+            if x.count != 1:
+                out.append(f"crossing {x.id}: geometric crossings have count 1")
             for e in x.edges:
                 if e not in owner:
                     out.append(f"crossing {x.id}: unknown edge {e!r}")
-                edge_uses[e] = edge_uses.get(e, 0) + 1
-        elif x.between is None or len(x.between) != 2:
+            continue
+        if x.count < 1:
+            out.append(f"crossing {x.id}: abstract count must be at least 1")
+        if x.between is None or len(x.between) != 2:
             out.append(f"crossing {x.id}: abstract crossing needs two components")
-        elif not all(any(c.id == cid for c in d.components) for cid in x.between):
+        elif not set(x.between) <= seen_ids:
             out.append(f"crossing {x.id}: unknown component in {x.between}")
     for b in d.boxes:
         for s in b.strands:
             for e in (s.left, s.right):
                 if e not in owner:
                     out.append(f"box {b.id}: unknown edge {e!r}")
-                edge_uses[e] = edge_uses.get(e, 0) + 1
             if s.orient not in (1, -1):
                 out.append(f"box {b.id}: strand orientation must be +-1")
     # passes must reference edges of non-round components, with distinct
@@ -563,8 +559,7 @@ def validate(d: Diagram) -> list[str]:
     except DiagramError as err:
         return [str(err)]
 
-    edge_uses = _slot_counts(d)
-    for e, n in edge_uses.items():
+    for e, n in _slot_counts(d).items():
         if n != 2:
             out.append(f"edge {e}: appears {n} times at vertices (expected 2)")
     if out:
@@ -620,73 +615,75 @@ def validate(d: Diagram) -> list[str]:
 
     # integral linking: signed crossing totals between distinct components
     # must be even
+    totals = _crossing_totals(d)
     for c1, c2 in itertools.combinations(d.components, 2):
-        total = _crossing_count(d, c1.id, c2.id)
+        total = totals.get(frozenset((c1.id, c2.id)), 0)
         if total % 2:
             out.append(f"components {c1.id},{c2.id}: odd crossing count {total}")
     return out
-
-
-def _crossing_count(d: Diagram, c1: str, c2: str) -> int:
-    owner = d.edge_owner()
-    n = 0
-    for x in d.crossings:
-        if x.is_geometric:
-            a = owner[x.edges[0]]
-            b = owner[x.edges[1]]
-            if {a, b} == {c1, c2}:
-                n += 1
-        elif set(x.between) == {c1, c2}:
-            n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------
 # Linking numbers, mirrors, orientation reversal
 
 
-def linking_number(d: Diagram, c1: str, c2: str) -> int:
-    """Half the signed crossing sum, plus through-pass contributions when one
-    of the components is round."""
-    if c1 == c2:
-        raise DiagramError("self-linking is the framing, not a linking number")
-    a, b = d.component(c1), d.component(c2)
+def _crossing_totals(d: Diagram) -> dict[frozenset, int]:
+    """Signed crossing total of every pair of distinct components, in one
+    pass: a crossing counts ``sign * count``, each strand pair of a twist
+    box crosses once per half twist, and a through-pass counts as the two
+    crossings of its strand with the round component."""
     owner = d.edge_owner()
-    total = 0
+    totals: dict[frozenset, int] = {}
+
+    def add(a, b, v):
+        if a != b:
+            key = frozenset((a, b))
+            totals[key] = totals.get(key, 0) + v
+
     for x in d.crossings:
         if x.is_geometric:
-            ca, cb = owner[x.edges[0]], owner[x.edges[1]]
-            if {ca, cb} == {c1, c2}:
-                total += x.sign
-        elif set(x.between) == {c1, c2}:
-            total += x.sign
+            add(owner[x.edges[0]], owner[x.edges[1]], x.sign)
+        else:
+            add(*x.between, x.sign * x.count)
     for box in d.boxes:
         for s1, s2 in itertools.combinations(box.strands, 2):
-            if {owner.get(s1.left), owner.get(s2.left)} == {c1, c2}:
-                # each strand pair crosses once per half twist
-                total += box.halftwists * s1.orient * s2.orient
+            add(owner.get(s1.left), owner.get(s2.left),
+                box.halftwists * s1.orient * s2.orient)
+    for c in d.components:
+        if c.is_round:
+            for p in c.through:
+                add(c.id, owner.get(p.edge), 2 * p.sign)
+    return totals
+
+
+def _half(totals: dict[frozenset, int], c1: str, c2: str) -> int:
+    if c1 == c2:
+        raise DiagramError("self-linking is the framing, not a linking number")
+    total = totals.get(frozenset((c1, c2)), 0)
     if total % 2:
         raise DiagramError(f"odd signed crossing sum between {c1} and {c2}")
-    lk = total // 2
-    for round_c, other in ((a, b), (b, a)):
-        if round_c.is_round:
-            other_edges = set(other.edges)
-            lk += sum(p.sign for p in round_c.through if p.edge in other_edges)
-    return lk
+    return total // 2
+
+
+def linking_number(d: Diagram, c1: str, c2: str) -> int:
+    """Half the signed crossing total of two distinct components, through-
+    passes included when one of them is round."""
+    d.component(c1), d.component(c2)  # unknown ids raise DiagramError
+    return _half(_crossing_totals(d), c1, c2)
 
 
 def linking_matrix(d: Diagram, comps: list[str] | None = None) -> list[list[int]]:
     """Framings on the diagonal (0 for dotted/plain), linking numbers off it."""
     if comps is None:
         comps = [c.id for c in d.components]
+    totals = _crossing_totals(d)
     n = len(comps)
     q = [[0] * n for _ in range(n)]
     for i, ci in enumerate(comps):
         comp = d.component(ci)
         q[i][i] = comp.framing if comp.framing is not None else 0
         for j in range(i + 1, n):
-            lk = linking_number(d, ci, comps[j])
-            q[i][j] = q[j][i] = lk
+            q[i][j] = q[j][i] = _half(totals, ci, comps[j])
     return q
 
 

@@ -18,7 +18,7 @@ and simplification budgets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import handlebody as hb
 from . import pdcode
@@ -116,11 +116,14 @@ def _diagram_signature(d: pdcode.Diagram):
         (c.kind, c.framing, len(c.edges), tuple(sorted(p.sign for p in c.through)))
         for c in d.components
     )
-    crossings = sorted(
-        (x.sign, x.over if x.is_geometric else None) for x in d.crossings
-    )
+    # abstract records count by multiplicity, so one record of count k
+    # reads like k unit records
+    crossings: dict[tuple, int] = {}
+    for x in d.crossings:
+        key = (x.sign, x.over if x.is_geometric else None)
+        crossings[key] = crossings.get(key, 0) + x.count
     boxes = sorted((b.halftwists, len(b.strands)) for b in d.boxes)
-    return (comps, crossings, boxes)
+    return (comps, sorted(crossings.items()), boxes)
 
 
 class Engine:
@@ -205,12 +208,18 @@ class Engine:
                     raise ScriptError(f"cannot track {kind!r}", i)
                 on = args["on"]
                 cap = args.get("cap", "d0")
-                self.surface = SurfacePresentation(
+                tracked = SurfacePresentation(
                     name="tracked",
                     host=self.state,
                     minima=(sf.Disk(cap),),
                     sheets=(sf.Sheet("core", on, 1, cap=cap),),
                 )
+                problems = sf.validate_surface(tracked)
+                if problems:
+                    raise ScriptError(
+                        "invalid tracked surface: " + "; ".join(problems), i
+                    )
+                self.surface = tracked
                 return f"tracking sphere over {on}"
             if op == "transfer_sheets":
                 return self._transfer_sheets(step, pos)

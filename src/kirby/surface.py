@@ -145,9 +145,6 @@ class HomClass:
             raise SurfaceError("classes over different bases")
         return HomClass(self.basis, tuple(a + b for a, b in zip(self.vector, other.vector)))
 
-    def __neg__(self) -> "HomClass":
-        return HomClass(self.basis, tuple(-a for a in self.vector))
-
 
 def homology_class(s: SurfacePresentation) -> HomClass:
     framed = [c.id for c in s.host.diagram.components if c.kind == pdcode.FRAMED]

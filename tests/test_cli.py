@@ -117,3 +117,15 @@ def test_corpus_list_and_verify_subset(capsys):
     assert code2 == 0
     assert payload2["ok"] is True
     assert set(payload2["cases"]) == {"W", "brunnian_m2"}
+
+
+def test_run_invalid_tracked_surface_exits_1(tmp_path, capsys):
+    p = tmp_path / "track.kd"
+    p.write_text(
+        "diagram D { component a kind=framed framing=1; }\n"
+        "script t on D { track sphere on=nope; }\n"
+    )
+    assert cli.main(["run", str(p), "--script", "t"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL track" in captured.out
+    assert "Traceback" not in captured.out + captured.err

@@ -1,0 +1,255 @@
+"""Seeded property tests of the linking store: counted abstract records,
+the one-pass linking matrix, and the moves that write them."""
+
+import itertools
+
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from kirby import handlebody, pdcode, script
+from kirby.handlebody import Handlebody
+from kirby.pdcode import BoxStrand, Component, Crossing, Diagram, DOTTED, FRAMED, Pass, TwistBox
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def reference_linking_number(d, c1, c2):
+    """Per-pair scan in which every crossing record counts once."""
+    if c1 == c2:
+        raise pdcode.DiagramError("self-linking is the framing, not a linking number")
+    a, b = d.component(c1), d.component(c2)
+    owner = d.edge_owner()
+    total = 0
+    for x in d.crossings:
+        if x.is_geometric:
+            ca, cb = owner[x.edges[0]], owner[x.edges[1]]
+            if {ca, cb} == {c1, c2}:
+                total += x.sign
+        elif set(x.between) == {c1, c2}:
+            total += x.sign
+    for box in d.boxes:
+        for s1, s2 in itertools.combinations(box.strands, 2):
+            if {owner.get(s1.left), owner.get(s2.left)} == {c1, c2}:
+                # each strand pair crosses once per half twist
+                total += box.halftwists * s1.orient * s2.orient
+    if total % 2:
+        raise pdcode.DiagramError(f"odd signed crossing sum between {c1} and {c2}")
+    lk = total // 2
+    for round_c, other in ((a, b), (b, a)):
+        if round_c.is_round:
+            other_edges = set(other.edges)
+            lk += sum(p.sign for p in round_c.through if p.edge in other_edges)
+    return lk
+
+
+def unit_records(d):
+    """The same diagram with every counted record written as unit records."""
+    crossings = []
+    for x in d.crossings:
+        if x.is_geometric:
+            crossings.append(x)
+        else:
+            crossings.extend(
+                Crossing(f"{x.id}.{k}", x.sign, between=x.between) for k in range(x.count)
+            )
+    return Diagram(d.name, d.components, tuple(crossings), d.boxes)
+
+
+def abstract_records(d):
+    per_pair = {}
+    for x in d.crossings:
+        if not x.is_geometric:
+            key = frozenset(x.between)
+            per_pair[key] = per_pair.get(key, 0) + 1
+    return per_pair
+
+
+@st.composite
+def diagrams(draw):
+    """Framed loops and dotted circles with passes, twist boxes on the loop
+    edges, and abstract records both unit and counted; every pair's signed
+    crossing total is made even."""
+    nf = draw(st.integers(1, 4))
+    nd = draw(st.integers(0, 2))
+    framed = [f"c{i}" for i in range(nf)]
+    dots = [f"m{i}" for i in range(nd)]
+    comps = [
+        Component(c, FRAMED, draw(st.integers(-3, 3)), edges=(f"{c}.l",)) for c in framed
+    ]
+    seq = {}
+    for m in dots:
+        through = []
+        for c in draw(st.lists(st.sampled_from(framed), max_size=4)):
+            edge = f"{c}.l"
+            seq[edge] = seq.get(edge, 0) + 1
+            through.append(Pass(edge, draw(st.sampled_from((1, -1))), seq[edge]))
+        comps.append(Component(m, DOTTED, through=tuple(through)))
+    ids = framed + dots
+    pairs = list(itertools.combinations(ids, 2))
+    crossings, parity = [], {}
+    if pairs:
+        for k in range(draw(st.integers(0, 8))):
+            a, b = draw(st.sampled_from(pairs))
+            count = draw(st.sampled_from((1, 1, 2, 3, 4)))
+            crossings.append(
+                Crossing(f"y{k}", draw(st.sampled_from((1, -1))), between=(a, b), count=count)
+            )
+            parity[(a, b)] = parity.get((a, b), 0) + count
+    boxes = []
+    for k in range(draw(st.integers(0, 1)) if nf > 1 else 0):
+        a, b = draw(st.lists(st.sampled_from(framed), min_size=2, max_size=2, unique=True))
+        twists = draw(st.integers(-3, 3))
+        o1, o2 = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        boxes.append(TwistBox(
+            f"B{k}", twists, (BoxStrand(f"{a}.l", f"{a}.l", o1), BoxStrand(f"{b}.l", f"{b}.l", o2))
+        ))
+        key = (a, b) if (a, b) in pairs else (b, a)
+        parity[key] = parity.get(key, 0) + twists
+    for k, ((a, b), total) in enumerate(sorted(parity.items())):
+        if total % 2:
+            crossings.append(Crossing(f"z{k}", 1, between=(a, b)))
+    return Diagram("random", tuple(comps), tuple(crossings), tuple(boxes))
+
+
+@SEEDED
+@given(diagrams())
+def test_one_pass_linking_matrix_matches_per_pair_scan(d):
+    ids = [c.id for c in d.components]
+    units = unit_records(d)
+    want = [
+        [
+            (c.framing or 0) if a == b else reference_linking_number(units, a, b)
+            for b in ids
+        ]
+        for a, c in zip(ids, d.components)
+    ]
+    assert pdcode.linking_matrix(d) == want
+    for a, b in itertools.combinations(ids, 2):
+        assert pdcode.linking_number(d, a, b) == want[ids.index(a)][ids.index(b)]
+
+
+@SEEDED
+@given(diagrams(), st.randoms(use_true_random=False))
+def test_signature_counts_records_by_multiplicity(d, rnd):
+    units = unit_records(d)
+    # the same multiplicities regrouped at random into fewer records
+    regrouped, pending = [], {}
+    for x in units.crossings:
+        key = (x.sign, x.between)
+        pending[key] = pending.get(key, 0) + 1
+        if rnd.random() < 0.4:
+            regrouped.append(Crossing(f"r{len(regrouped)}", x.sign, between=x.between,
+                                      count=pending.pop(key)))
+    for (sign, between), count in pending.items():
+        regrouped.append(Crossing(f"r{len(regrouped)}", sign, between=between, count=count))
+    other = Diagram(d.name, d.components, tuple(regrouped), d.boxes)
+    sig = script._diagram_signature(d)
+    assert sig == script._diagram_signature(units) == script._diagram_signature(other)
+    if units.crossings:
+        fewer = Diagram(d.name, d.components, units.crossings[1:], d.boxes)
+        assert script._diagram_signature(fewer) != sig
+
+
+def sympy_cokernel(mat, ambient):
+    m = sympy.Matrix(mat) if mat and mat[0] else sympy.zeros(ambient, 1)
+    snf = sympy_snf(m)
+    divs = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    return ambient - len(divs), sorted(x for x in divs if x > 1)
+
+
+@st.composite
+def handlebodies(draw):
+    """Framed loops with linking held in unit and counted records, and
+    dotted circles each passed once by a partner 2-handle."""
+    nf = draw(st.integers(2, 4))
+    nd = draw(st.integers(0, min(2, nf - 1)))
+    framed = [f"c{i}" for i in range(nf)]
+    comps = [
+        Component(c, FRAMED, draw(st.integers(-3, 3)), edges=(f"{c}.l",)) for c in framed
+    ]
+    seq = {}
+    for i in range(nd):
+        others = draw(st.lists(st.sampled_from(framed[nd:]), max_size=2))
+        through = []
+        for c in [framed[i]] + others:
+            edge = f"{c}.l"
+            seq[edge] = seq.get(edge, 0) + 1
+            through.append(Pass(edge, draw(st.sampled_from((1, -1))), seq[edge]))
+        comps.append(Component(f"m{i}", DOTTED, through=tuple(through)))
+    crossings = []
+    for a, b in itertools.combinations(framed, 2):
+        v = draw(st.integers(-2, 2))
+        if not v:
+            continue
+        sign = 1 if v > 0 else -1
+        if draw(st.booleans()):
+            crossings.append(Crossing(f"x{len(crossings)}", sign, between=(a, b), count=2 * abs(v)))
+        else:
+            crossings.extend(
+                Crossing(f"x{len(crossings) + k}", sign, between=(a, b)) for k in range(2 * abs(v))
+            )
+    return Handlebody(Diagram("random", tuple(comps), tuple(crossings)))
+
+
+def framed_and_dots(d):
+    framed = [c.id for c in d.components if c.kind == FRAMED]
+    dots = [c.id for c in d.components if c.kind == DOTTED]
+    return framed, dots
+
+
+@SEEDED
+@given(handlebodies(), st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                                          st.sampled_from((1, -1)), st.booleans()),
+                                max_size=6))
+def test_moves_keep_linking_equal_to_tracked_congruence(h, moves):
+    framed, dots = framed_and_dots(h.diagram)
+    # tracked state: framed linking matrix Q and pass matrix P, transformed
+    # by every move's change of 2-handle basis E as E Q E^T and P E^T
+    q = sympy.Matrix(pdcode.linking_matrix(h.diagram, framed))
+    p = sympy.Matrix(handlebody.pass_matrix(h.diagram)[0]) if dots else None
+    for i, j, sign, cancel in moves:
+        if cancel and dots:
+            dot, f = dots[i % len(dots)], framed[j % len(framed)]
+            try:
+                h = handlebody.cancel_pair(h, dot, f)
+            except handlebody.HandlebodyError:
+                continue
+            r, c = dots.index(dot), framed.index(f)
+            s = p[r, c]
+            e = sympy.eye(len(framed))
+            for k in range(len(framed)):
+                if k != c:
+                    e[k, c] = -s * p[r, k]
+            keep = [k for k in range(len(framed)) if k != c]
+            q = (e * q * e.T).extract(keep, keep)
+            p = (p * e.T).extract([k for k in range(len(dots)) if k != r], keep)
+            framed.remove(f)
+            dots.remove(dot)
+        elif len(framed) > 1:
+            a = framed[i % len(framed)]
+            c = framed[(i + 1 + j % (len(framed) - 1)) % len(framed)]
+            h = handlebody.slide(h, a, c, sign)
+            e = sympy.eye(len(framed))
+            e[framed.index(a), framed.index(c)] = sign
+            q = e * q * e.T
+            if dots:
+                p = p * e.T
+        else:
+            continue
+        d = h.diagram
+        assert framed_and_dots(d) == (framed, dots)
+        assert all(n == 1 for n in abstract_records(d).values())
+        assert pdcode.linking_matrix(d, framed) == q.tolist()
+        b = q.tolist()
+        if dots:
+            assert handlebody.pass_matrix(d)[0] == p.tolist()
+            b = sympy.Matrix(sympy.BlockMatrix(
+                [[q, p.T], [p, sympy.zeros(len(dots), len(dots))]]
+            )).tolist()
+        order = framed + dots
+        boundary = pdcode.linking_matrix(handlebody.boundary_diagram(d), order)
+        assert boundary == b
+        rank, torsion = sympy_cokernel(b, len(b))
+        bh = handlebody.boundary_H1(h)
+        assert (bh.rank, list(bh.torsion)) == (rank, torsion)

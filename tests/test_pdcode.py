@@ -1,5 +1,7 @@
 """Framed-link diagram structure, validation, and Reidemeister moves."""
 
+from dataclasses import replace
+
 import pytest
 
 from kirby import pdcode
@@ -224,3 +226,47 @@ def test_normalize_idempotent():
     e = three_strand_braid()
     n1 = pdcode.normalize(e)
     assert pdcode.normalize(n1) == n1
+
+
+def test_parity_counts_twist_boxes():
+    # a Hopf link drawn as one half-twist box plus one crossing: the box
+    # supplies the second crossing of the pair
+    d = Diagram(
+        "boxed_hopf",
+        components=(
+            Component("a", FRAMED, 0, edges=("a1", "a2")),
+            Component("b", FRAMED, 0, edges=("b1", "b2")),
+        ),
+        crossings=(Crossing("x", 1, edges=("a1", "b2", "a2", "b1"), over=0),),
+        boxes=(
+            TwistBox("B", 1, (BoxStrand("a1", "a2", 1), BoxStrand("b1", "b2", 1))),
+        ),
+    )
+    assert pdcode.validate(d) == []
+    e = pdcode.expand_twistboxes(d)
+    assert pdcode.linking_number(d, "a", "b") == pdcode.linking_number(e, "a", "b") == 1
+
+
+def test_validate_checks_crossing_counts():
+    def pair(*crossings):
+        comps = (Component("a", FRAMED, 0), Component("b", FRAMED, 0))
+        return Diagram("counted", comps, crossings)
+
+    assert pdcode.validate(pair(Crossing("y", 1, between=("a", "b"), count=4))) == []
+    assert pdcode.validate(pair(Crossing("y", 1, between=("a", "b"), count=0)))
+    geometric = replace(hopf().crossings[0], count=2)
+    d = replace(hopf(), crossings=(geometric, hopf().crossings[1]))
+    assert any("count 1" in p for p in pdcode.validate(d))
+
+
+def test_counted_record_links_like_its_unit_records():
+    comps = (Component("a", FRAMED, 0), Component("b", FRAMED, 0))
+    units = Diagram("u", comps, tuple(
+        Crossing(f"y{i}", -1, between=("a", "b")) for i in range(6)
+    ))
+    counted = Diagram("c", comps, (Crossing("y", -1, between=("b", "a"), count=6),))
+    assert pdcode.linking_number(units, "a", "b") == -3
+    assert pdcode.linking_matrix(counted) == pdcode.linking_matrix(units)
+    odd = replace(counted, crossings=(replace(counted.crossings[0], count=5),))
+    with pytest.raises(pdcode.DiagramError):
+        pdcode.linking_matrix(odd)

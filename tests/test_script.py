@@ -269,3 +269,19 @@ def test_transfer_sheets_must_preserve_square():
     )
     assert not report.ok
     assert "self-intersection" in report.steps[1].detail
+
+
+TRACK_UNKNOWN = """
+diagram D {
+  component a kind=framed framing=1;
+}
+script t on D { track sphere on=nope; }
+"""
+
+
+def test_track_on_unknown_handle_fails_the_step():
+    report = run_text(TRACK_UNKNOWN)
+    assert not report.ok
+    assert [s.ok for s in report.steps] == [False]
+    assert "unknown 2-handle 'nope'" in report.steps[0].detail
+    assert report.surface is None
