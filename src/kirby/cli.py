@@ -13,7 +13,7 @@ Subcommands:
 Every subcommand accepts ``--json`` for machine-readable output.  Exit
 codes: 0 success, 1 verification failure, 2 malformed input.  The
 environment variable ``KIRBY_BUDGET`` bounds searches and
-simplifications.
+simplifications; a value that is not an integer is malformed input.
 """
 
 from __future__ import annotations

@@ -169,6 +169,22 @@ class Document:
     scripts: dict[str, MoveScript] = field(default_factory=dict)
 
 
+_SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
+
+
+def _signed_list(items, what: str, at: Token) -> list[tuple]:
+    """(name, sign) pairs from signed references; a bare name means +."""
+    out = []
+    for item in items:
+        if isinstance(item, tuple) and len(item) == 2:
+            out.append(item)
+        elif isinstance(item, str):
+            out.append((item, 1))
+        else:
+            raise ParseError(f"bad {what} {item!r}", at.line, at.col)
+    return out
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -316,18 +332,7 @@ class _Parser:
                     kind = pdcode.DOTTED
                 if kind not in (pdcode.FRAMED, pdcode.DOTTED, pdcode.PLAIN):
                     raise ParseError(f"unknown kind {kind!r}", kw.line, kw.col)
-                through = kv.get("through", ())
-                plist = []
-                for item in through:
-                    if isinstance(item, tuple) and len(item) == 2:
-                        plist.append((item[0], item[1]))
-                    elif isinstance(item, str):
-                        plist.append((item, 1))
-                    else:
-                        raise ParseError(
-                            f"bad through entry {item!r}", kw.line, kw.col
-                        )
-                passes[cid] = plist
+                passes[cid] = _signed_list(kv.get("through", ()), "through entry", kw)
                 components.append(
                     Component(
                         cid,
@@ -351,7 +356,7 @@ class _Parser:
                     left, right, orient = item
                     if isinstance(orient, tuple):  # bare sign token parsed oddly
                         raise ParseError("bad strand orientation", kw.line, kw.col)
-                    o = {"+": 1, "-": -1, 1: 1, -1: -1}.get(orient)
+                    o = _SIGNS.get(orient)
                     if o is None:
                         raise ParseError(
                             f"strand orientation must be + or -, got {orient!r}",
@@ -365,7 +370,7 @@ class _Parser:
                 xid = self.take("name").value
                 kv = self.keyvals(params)
                 self.semicolon()
-                sign = {"+": 1, "-": -1, 1: 1, -1: -1}.get(kv.get("sign", "+"))
+                sign = _SIGNS.get(kv.get("sign", "+"))
                 if sign is None:
                     raise ParseError("crossing sign must be + or -", kw.line, kw.col)
                 if kw.value == "cross":
@@ -422,21 +427,13 @@ class _Parser:
             if kw.value == "disk":
                 disks.append((sid, kv.get("abuts")))
             elif kw.value == "sheet":
-                mult = {"+": 1, "-": -1, 1: 1, -1: -1}.get(kv.get("mult", "+"))
+                mult = _SIGNS.get(kv.get("mult", "+"))
                 if mult is None:
                     raise ParseError("sheet mult must be + or -", kw.line, kw.col)
                 sheets.append((sid, kv.get("on"), mult, kv.get("cap")))
             elif kw.value == "ribbon":
-                raw = kv.get("passes", ())
-                plist = []
-                for item in raw:
-                    if isinstance(item, tuple) and len(item) == 2:
-                        plist.append(item)
-                    elif isinstance(item, str):
-                        plist.append((item, 1))
-                    else:
-                        raise ParseError(f"bad pass {item!r}", kw.line, kw.col)
-                ribbons.append((sid, kv.get("from"), kv.get("to"), tuple(plist)))
+                plist = tuple(_signed_list(kv.get("passes", ()), "pass", kw))
+                ribbons.append((sid, kv.get("from"), kv.get("to"), plist))
             else:
                 self.pos -= 1
                 self.error("expected disk, sheet, or ribbon")

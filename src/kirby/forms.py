@@ -217,21 +217,21 @@ def stably_equivalent(
                 pos, neg = pos + k, neg + k
         return pos, neg, odd
 
-    best = None
-    for counts1 in product(range(max_count + 1), repeat=len(names)):
-        p1, n1, o1 = stabilized(pos1, neg1, odd1, counts1)
-        for counts2 in product(range(max_count + 1), repeat=len(names)):
-            p2, n2, o2 = stabilized(pos2, neg2, odd2, counts2)
-            if (p1, n1) != (p2, n2):
-                continue
-            # only odd indefinite unimodular forms are decided by (rank, sig)
-            if not (o1 and o2 and p1 > 0 and n1 > 0):
-                continue
-            total = sum(counts1) + sum(counts2)
-            if best is None or total < best[0]:
-                best = (total, tuple(zip(names, counts1)), tuple(zip(names, counts2)))
-    if best is not None:
-        return StableEquivalence("equivalent", best[1], best[2])
+    def fewest(pos, neg, odd):
+        # first counts in product order with the fewest summands, per (pos, neg)
+        # of an odd indefinite stabilization: (rank, sig) decide only those
+        found = {}
+        for counts in sorted(product(range(max_count + 1), repeat=len(names)), key=sum):
+            p, n, o = stabilized(pos, neg, odd, counts)
+            if o and p > 0 and n > 0:
+                found.setdefault((p, n), counts)
+        return found
+
+    w1, w2 = fewest(pos1, neg1, odd1), fewest(pos2, neg2, odd2)
+    shared = w1.keys() & w2.keys()
+    if shared:
+        _, c1, c2 = min((sum(w1[k]) + sum(w2[k]), w1[k], w2[k]) for k in shared)
+        return StableEquivalence("equivalent", tuple(zip(names, c1)), tuple(zip(names, c2)))
     # no witness: see whether an invariant untouched by the allowed summands
     # rules equivalence out entirely
     signed = any(s in allowed for s in ("<1>", "<-1>"))

@@ -7,18 +7,21 @@ blowdowns, dot/zero swaps, 1-2 cancellation — and the algebraic shadows:
 homology, intersection form, boundary homology, extension certificates,
 and equivariance bookkeeping for marked symmetric diagrams.
 
-Slides and cancellations operate at the algebraic level: the result is a
-diagram whose components are free loops carrying framings, through-pass
-words and exact pairwise linking numbers, each held once as a single
-abstract crossing of multiplicity 2*|lk| per linked pair.  Every
-invariant defined on such diagrams (homology, forms, fundamental group)
-transforms by the textbook formulas, which the tests check against
-independent matrix congruence oracles.
+Slides and cancellations operate at the algebraic level.  Each is a
+congruence Q -> E Q E^T of the linking matrix (framings on the diagonal),
+applied together with the matching rewrite of the through-pass words.  The
+result is written back as a diagram whose components are free loops
+carrying framings and pass words, with one counted abstract crossing of
+multiplicity 2*|lk| per linked pair.  Every invariant defined on such
+diagrams (homology, forms, fundamental group) transforms by the textbook
+formulas, which the tests check against independent matrix congruence
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from . import forms, intmat, pdcode
 from .forms import BilinearForm
@@ -68,12 +71,17 @@ def validate(h: Handlebody) -> list[str]:
 class _Model:
     order: list[str]
     kind: dict[str, str]
-    framing: dict[str, int]
-    lk: dict[frozenset, int]
+    q: list[list[int]]  # linking matrix over ``order``, framings on the diagonal
     words: dict[str, list[tuple[str, int]]]  # framed id -> [(dot id, sign)]
 
-    def linking(self, a: str, b: str) -> int:
-        return self.lk.get(frozenset((a, b)), 0)
+
+def _slide_rows(q: list[list[int]], a: int, c: int, k: int) -> None:
+    """Slide handle ``a`` over handle ``c`` k times, in place: the
+    congruence q -> E q E^T with E = I + k e_a e_c^T."""
+    for j in range(len(q)):
+        q[a][j] += k * q[c][j]
+    for row in q:
+        row[a] += k * row[c]
 
 
 def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
@@ -102,17 +110,12 @@ def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
 
 
 def _model_from_diagram(d: Diagram) -> _Model:
-    order = [c.id for c in d.components]
-    kind = {c.id: c.kind for c in d.components}
-    q = pdcode.linking_matrix(d)
-    framing = {a: q[i][i] for i, a in enumerate(order)}
-    lk = {
-        frozenset((a, b)): q[i][j]
-        for i, a in enumerate(order)
-        for j, b in enumerate(order[i + 1:], i + 1)
-        if q[i][j]
-    }
-    return _Model(order, kind, framing, lk, _pass_words(d))
+    return _Model(
+        [c.id for c in d.components],
+        {c.id: c.kind for c in d.components},
+        pdcode.linking_matrix(d),
+        _pass_words(d),
+    )
 
 
 def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
@@ -120,7 +123,7 @@ def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
         cid: f"{cid}.l" for cid in m.order if m.kind[cid] != pdcode.DOTTED
     }
     comps = []
-    for cid in m.order:
+    for i, cid in enumerate(m.order):
         if m.kind[cid] == pdcode.DOTTED:
             through = []
             for fid in sorted(m.words):
@@ -133,18 +136,17 @@ def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
                 Component(
                     cid,
                     m.kind[cid],
-                    framing=m.framing[cid] if m.kind[cid] == pdcode.FRAMED else None,
+                    framing=m.q[i][i] if m.kind[cid] == pdcode.FRAMED else None,
                     edges=(loop[cid],),
                 )
             )
+    pos = {cid: i for i, cid in enumerate(m.order)}
     crossings = []
-    for key, v in sorted(m.lk.items(), key=lambda kv: sorted(kv[0])):
-        a, b = sorted(key)
-        if m.kind[a] == pdcode.DOTTED or m.kind[b] == pdcode.DOTTED:
-            contribution = sum(
-                s for dot, s in m.words.get(a, m.words.get(b, [])) if dot in key
-            )
-            v = v - contribution  # passes already account for this much
+    for a, b in combinations(sorted(m.order), 2):
+        v = m.q[pos[a]][pos[b]]
+        if pdcode.DOTTED in (m.kind[a], m.kind[b]):
+            # passes already account for part of a dotted circle's linking
+            v -= sum(s for dot, s in m.words.get(a, m.words.get(b, [])) if dot in (a, b))
         if v:
             crossings.append(Crossing(
                 f"ax{len(crossings)}", 1 if v > 0 else -1,
@@ -217,16 +219,14 @@ class HomologyReport:
 def homology(h: Handlebody) -> HomologyReport:
     p, dots, framed = pass_matrix(h.diagram)
     h1 = intmat.cokernel(p, ambient_rank=len(dots))
-    h2_rank = len(framed) - intmat.rank(p)
-    square_unimodular = (
-        len(dots) == len(framed) and (not dots or intmat.is_unimodular(p))
-    )
+    # rank p = #dots - rank h1, and a square p is unimodular iff h1 is trivial
     contractible = (
-        square_unimodular
+        len(dots) == len(framed)
+        and h1.is_trivial
         and h.three_handles == 0
         and is_connected(h.diagram)
     )
-    return HomologyReport(h1, h2_rank, contractible)
+    return HomologyReport(h1, len(framed) - len(dots) + h1.rank, contractible)
 
 
 def intersection_form(h: Handlebody) -> BilinearForm:
@@ -317,24 +317,7 @@ def slide(h: Handlebody, a: str, c: str, sign: int = 1) -> Handlebody:
     if ca.kind != pdcode.FRAMED or cc.kind != pdcode.FRAMED:
         raise HandlebodyError("slides are supported for framed components only")
     m = _model_from_diagram(d)
-    m.framing[a] = m.framing[a] + m.framing[c] + 2 * sign * m.linking(a, c)
-    new_lk = dict(m.lk)
-    for x in m.order:
-        if x in (a, c):
-            continue
-        v = m.linking(a, x) + sign * m.linking(c, x)
-        key = frozenset((a, x))
-        if v:
-            new_lk[key] = v
-        else:
-            new_lk.pop(key, None)
-    v = m.linking(a, c) + sign * m.framing[c]
-    key = frozenset((a, c))
-    if v:
-        new_lk[key] = v
-    else:
-        new_lk.pop(key, None)
-    m.lk = new_lk
+    _slide_rows(m.q, m.order.index(a), m.order.index(c), sign)
     wc = m.words.get(c, [])
     add = wc if sign > 0 else [(dot, -s) for dot, s in reversed(wc)]
     m.words[a] = m.words.get(a, []) + list(add)
@@ -566,13 +549,13 @@ def cancel_pair(h: Handlebody, dot: str, framed: str) -> Handlebody:
     if s < 0:
         rep = inv(rep)
 
-    slides: dict[str, int] = {}  # net number of slides over `framed`
+    pos = {x: i for i, x in enumerate(m.order)}
     new_words: dict[str, list[tuple[str, int]]] = {}
     for x, wx in m.words.items():
         if x == framed:
             continue
         out: list[tuple[str, int]] = []
-        count = 0
+        count = 0  # net number of slides over `framed`
         for dt, sg in wx:
             if dt == dot:
                 out.extend(rep if sg > 0 else inv(rep))
@@ -580,30 +563,13 @@ def cancel_pair(h: Handlebody, dot: str, framed: str) -> Handlebody:
             else:
                 out.append((dt, sg))
         new_words[x] = out
-        slides[x] = count
-
-    others = [x for x in m.order if x not in (dot, framed)]
-    fc = m.framing[framed]
-    new_lk: dict[frozenset, int] = {}
-    for i, x in enumerate(others):
-        mx = slides.get(x, 0)
-        if m.kind[x] == pdcode.FRAMED:
-            m.framing[x] += mx * mx * fc + 2 * mx * m.linking(x, framed)
-        for y in others[i + 1:]:
-            my = slides.get(y, 0)
-            val = (
-                m.linking(x, y)
-                + mx * m.linking(framed, y)
-                + my * m.linking(x, framed)
-                + mx * my * fc
-            )
-            if val:
-                new_lk[frozenset((x, y))] = val
-    m.order = others
-    m.lk = new_lk
+        # every slide is over `framed`, so these congruences commute
+        _slide_rows(m.q, pos[x], pos[framed], count)
+    keep = [pos[x] for x in m.order if x not in (dot, framed)]
+    m.q = [[m.q[i][j] for j in keep] for i in keep]
+    m.order = [m.order[i] for i in keep]
     m.words = new_words
     m.kind.pop(dot), m.kind.pop(framed)
-    m.framing.pop(dot), m.framing.pop(framed)
     return h.with_diagram(_model_to_diagram(m, d.name))
 
 

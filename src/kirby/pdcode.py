@@ -642,6 +642,9 @@ def _crossing_totals(d: Diagram) -> dict[frozenset, int]:
 
     for x in d.crossings:
         if x.is_geometric:
+            for e in x.edges[:2]:
+                if e not in owner:
+                    raise DiagramError(f"crossing {x.id}: unknown edge {e!r}")
             add(owner[x.edges[0]], owner[x.edges[1]], x.sign)
         else:
             add(*x.between, x.sign * x.count)

@@ -12,7 +12,8 @@ the two endpoint diagrams to agree.  A wrongly claimed ``certified`` flag
 is a replay failure, not a warning.
 
 The environment variable ``KIRBY_BUDGET`` overrides the default search
-and simplification budgets.
+and simplification budget of 2000 (values below 1 count as 1); a value
+that is not an integer raises ``ScriptError``.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ class ScriptError(ValueError):
 
 def default_budget() -> int:
     raw = os.environ.get("KIRBY_BUDGET", "")
+    if not raw:
+        return 2000
     try:
         return max(int(raw), 1)
     except ValueError:
-        return 2000
+        raise ScriptError(f"KIRBY_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -360,16 +360,22 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
     disks = [d.id for d in r.minima]
     order = list(disks)
     kind = {d: pdcode.DOTTED for d in disks}
-    framing = {d: 0 for d in disks}
     words = {}
     for rib in r.ribbons:
         a, b = rib.ends
         if a not in disks or b not in disks:
             raise SurfaceError(f"ribbon {rib.id} must join two minima")
+        if any(d not in disks for d, _ in rib.passes):
+            raise SurfaceError(f"ribbon {rib.id} passes a disk that is not a minimum")
         hid = f"h.{rib.id}"
         order.append(hid)
         kind[hid] = pdcode.FRAMED
-        framing[hid] = 0
         words[hid] = [(a, 1)] + [(d, sg) for d, sg in rib.passes] + [(b, -1)]
-    model = hb._Model(order, kind, framing, {}, words)
+    q = intmat.zeros(len(order), len(order))  # the passes carry all the linking
+    for hid, word in words.items():
+        for dot, sg in word:
+            i, j = order.index(hid), order.index(dot)
+            q[i][j] += sg
+            q[j][i] += sg
+    model = hb._Model(order, kind, q, words)
     return Handlebody(hb._model_to_diagram(model, r.name))

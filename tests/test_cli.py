@@ -96,6 +96,14 @@ def test_input_errors_exit_2(good_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_budget_exits_2(good_file, monkeypatch, capsys):
+    monkeypatch.setenv("KIRBY_BUDGET", "abc")
+    for argv in (["run", good_file, "--script", "shuffle"], ["pi1", good_file]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: KIRBY_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_multiple_input_files_merge(tmp_path, capsys):
     a = tmp_path / "a.kd"
     a.write_text("diagram one { component k kind=framed framing=1; }\n")

@@ -1,5 +1,7 @@
 """Text formats for diagrams, surfaces, and move scripts."""
 
+import re
+
 import pytest
 
 from kirby import dsl, pdcode
@@ -118,6 +120,24 @@ def test_parse_errors_carry_position():
         dsl.tokenize('diagram "unterminated')
     with pytest.raises(dsl.ParseError):
         dsl.tokenize("diagram d { ? }")
+
+
+def test_signed_lists_and_signs_keep_their_messages():
+    d = dsl.parse("diagram d { component m kind=dot through=(+a1, b1, -c1); }")
+    marks = d.diagrams["d"].component("m").through
+    assert [(p.edge, p.sign) for p in marks] == [("a1", 1), ("b1", 1), ("c1", -1)]
+    s = dsl.parse('surface s on "d" { disk x; ribbon r from=x to=x passes=(-x, x); }')
+    assert s.surfaces["s"].ribbons[0][3] == (("x", -1), ("x", 1))
+    bad = {
+        "diagram d { component m kind=dot through=((a,b,c)); }": "bad through entry",
+        'surface s on "d" { disk x; ribbon r from=x to=x passes=(3); }': "bad pass 3",
+        "diagram d { across y sign=x between=(a,b); }": "crossing sign must be + or -",
+        'surface s on "d" { sheet t on=a mult=0; }': "sheet mult must be + or -",
+        "diagram d { box B strands=((a,b,x)); }": "strand orientation must be + or -",
+    }
+    for text, message in bad.items():
+        with pytest.raises(dsl.ParseError, match=re.escape(message)):
+            dsl.parse(text)
 
 
 def test_corpus_files_parse_and_merge():

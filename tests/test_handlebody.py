@@ -11,6 +11,8 @@ from kirby import handlebody, intmat, pdcode
 from kirby.handlebody import Handlebody
 from kirby.pdcode import Component, Crossing, Diagram, FRAMED, DOTTED, Pass, SymmetryMarking
 
+from conftest import random_symmetric, random_unimodular
+
 
 def abstract_link(framings, lk):
     """Framed components with exact pairwise linking given abstractly."""
@@ -349,3 +351,120 @@ def test_check_equivariant_translates_moves():
     assert handlebody.check_equivariant(
         h, marking, ("blowup", 1, ("e1",)), ("blowup", 1, ("e2",))
     )
+
+
+# -- the congruence behind every move ---------------------------------------
+
+
+def test_slide_rows_is_the_congruence(rng):
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        q = random_symmetric(n, rng)
+        a, c = rng.sample(range(n), 2)
+        k = rng.randint(-3, 3)
+        e = intmat.identity(n)
+        e[a][c] = k
+        expected = intmat.matmul(intmat.matmul(e, q), intmat.transpose(e))
+        handlebody._slide_rows(q, a, c, k)
+        assert q == expected
+
+
+def test_slide_keeps_dotted_linking_carried_by_passes():
+    # f passes through d once, and an abstract crossing cancels that linking
+    d = Diagram(
+        "hidden",
+        (
+            Component("d", DOTTED, through=(Pass("f1", 1, 0),)),
+            Component("f", FRAMED, 0, edges=("f1",)),
+            Component("g", FRAMED, 1, edges=("g1",)),
+        ),
+        (Crossing("x", -1, between=("f", "d"), count=2),),
+    )
+    q = pdcode.linking_matrix(d)
+    assert q[0][1] == 0
+    for sign in (1, -1):
+        out = handlebody.slide(Handlebody(d), "g", "f", sign)
+        e = intmat.identity(3)
+        e[2][1] = sign
+        expected = intmat.matmul(intmat.matmul(e, q), intmat.transpose(e))
+        assert pdcode.linking_matrix(out.diagram) == expected
+
+
+def pass_diagram(p, n, rng):
+    """Dotted circles d0.. and n 0-framed loops f0.. whose algebraic pass
+    counts are the rows of ``p``, with some cancelling pairs of passes."""
+    m = len(p)
+    seq = {}
+    dots = []
+    for i in range(m):
+        marks = []
+        for j in range(n):
+            signs = [1 if p[i][j] > 0 else -1] * abs(p[i][j])
+            if rng.random() < 0.3:
+                signs += [1, -1]
+            for s in signs:
+                edge = f"f{j}.l"
+                marks.append(Pass(edge, s, seq.get(edge, 0)))
+                seq[edge] = seq.get(edge, 0) + 1
+        dots.append(Component(f"d{i}", DOTTED, through=tuple(marks)))
+    framed = [Component(f"f{j}", FRAMED, 0, edges=(f"f{j}.l",)) for j in range(n)]
+    return Diagram("passes", tuple(dots + framed))
+
+
+def three_elimination_homology(h):
+    """homology as computed from three separate eliminations of p."""
+    p, dots, framed = handlebody.pass_matrix(h.diagram)
+    h1 = intmat.cokernel(p, ambient_rank=len(dots))
+    h2_rank = len(framed) - intmat.rank(p)
+    square_unimodular = (
+        len(dots) == len(framed) and (not dots or intmat.is_unimodular(p))
+    )
+    contractible = (
+        square_unimodular
+        and h.three_handles == 0
+        and handlebody.is_connected(h.diagram)
+    )
+    return handlebody.HomologyReport(h1, h2_rank, contractible)
+
+
+def random_pass_matrices(rng):
+    yield [], 0
+    yield [], 3
+    yield [[] for _ in range(2)], 0
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)], n
+        if m > 1:  # a square singular matrix: one row repeats another
+            sq = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+            sq[-1] = list(sq[0])
+            yield sq, m
+        unimodular, _ = random_unimodular(m, rng, steps=rng.randint(0, 6))
+        yield unimodular, m
+
+
+def test_homology_matches_three_eliminations(rng):
+    kinds = set()
+    for p, n in random_pass_matrices(rng):
+        d = pass_diagram(p, n, rng)
+        assert pdcode.validate(d) == []
+        h = Handlebody(d, three_handles=rng.choice([0, 0, 1]))
+        rep = handlebody.homology(h)
+        assert rep == three_elimination_homology(h)
+        kinds.add((len(p) == n, rep.h1.is_trivial, rep.contractible))
+    # square and not, unimodular and not, contractible and not all occur
+    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {k[2] for k in kinds} == {True, False}
+
+
+def test_homology_runs_one_elimination(rng, monkeypatch):
+    calls = []
+    smith = intmat.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return smith(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+    for p, n in random_pass_matrices(rng):
+        calls.clear()
+        handlebody.homology(Handlebody(pass_diagram(p, n, rng)))
+        assert len(calls) == (1 if p and n else 0)

@@ -270,3 +270,20 @@ def test_counted_record_links_like_its_unit_records():
     odd = replace(counted, crossings=(replace(counted.crossings[0], count=5),))
     with pytest.raises(pdcode.DiagramError):
         pdcode.linking_matrix(odd)
+
+
+def test_crossing_on_unknown_edge_is_a_diagram_error():
+    from kirby import handlebody
+
+    d = Diagram(
+        "stray",
+        (Component("a", FRAMED, 0, edges=("e1", "e2")), Component("f", FRAMED, 0, edges=("f1",))),
+        (Crossing("x", 1, edges=("e9", "e2", "e3", "e4"), over=0),),
+    )
+    for read in (
+        lambda: pdcode.linking_matrix(d),
+        lambda: pdcode.linking_number(d, "a", "f"),
+        lambda: handlebody.boundary_H1(handlebody.Handlebody(d)),
+    ):
+        with pytest.raises(pdcode.DiagramError, match="crossing x: unknown edge 'e9'"):
+            read()

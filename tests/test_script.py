@@ -32,8 +32,11 @@ def test_default_budget_env(monkeypatch):
     assert script.default_budget() == 50
     monkeypatch.setenv("KIRBY_BUDGET", "0")
     assert script.default_budget() == 1
-    monkeypatch.setenv("KIRBY_BUDGET", "lots")
+    monkeypatch.setenv("KIRBY_BUDGET", "")
     assert script.default_budget() == 2000
+    monkeypatch.setenv("KIRBY_BUDGET", "lots")
+    with pytest.raises(script.ScriptError, match="KIRBY_BUDGET must be an integer, got 'lots'"):
+        script.default_budget()
 
 
 # -- replay ----------------------------------------------------------------

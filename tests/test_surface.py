@@ -248,3 +248,23 @@ def test_ribbon_complement_rejects_bad_input():
     )
     with pytest.raises(surface.SurfaceError):
         surface.ribbon_complement(s)
+
+
+def test_ribbon_complement_links_each_dot_through_its_passes():
+    s = SurfacePresentation(
+        "twice",
+        ball(),
+        minima=(Disk("a"), Disk("b"), Disk("z")),  # "a" < "h.r" < "z"
+        ribbons=(Ribbon("r", ("a", "b"), passes=(("z", 1), ("z", 1))),),
+    )
+    comp = surface.ribbon_complement(s)
+    assert comp.diagram.crossings == ()  # the passes carry all the linking
+    assert pdcode.linking_matrix(comp.diagram) == [
+        [0, 0, 0, 1], [0, 0, 0, -1], [0, 0, 0, 2], [1, -1, 2, 0],
+    ]
+    stray = SurfacePresentation(
+        "stray", ball(), minima=(Disk("x"), Disk("y")),
+        ribbons=(Ribbon("r", ("x", "y"), passes=(("w", 1),)),),
+    )
+    with pytest.raises(surface.SurfaceError, match="not a minimum"):
+        surface.ribbon_complement(stray)
