@@ -172,8 +172,18 @@ class Document:
 _SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 
-def _signed_list(items, what: str, at: Token) -> list[tuple]:
-    """(name, sign) pairs from signed references; a bare name means +."""
+def _sign(value) -> int | None:
+    """+1 or -1 for a sign value, None for anything else (``true`` is not 1)."""
+    return None if isinstance(value, bool) else _SIGNS.get(value)
+
+
+def _signed_list(kv: dict, key: str, what: str, at: Token) -> list[tuple]:
+    """(name, sign) pairs from the list ``key=(...)``; a bare name means +."""
+    items = kv.get(key, ())
+    if not isinstance(items, tuple):
+        raise ParseError(
+            f"{key} must be a parenthesised list, got {items!r}", at.line, at.col
+        )
     out = []
     for item in items:
         if isinstance(item, tuple) and len(item) == 2:
@@ -332,7 +342,7 @@ class _Parser:
                     kind = pdcode.DOTTED
                 if kind not in (pdcode.FRAMED, pdcode.DOTTED, pdcode.PLAIN):
                     raise ParseError(f"unknown kind {kind!r}", kw.line, kw.col)
-                passes[cid] = _signed_list(kv.get("through", ()), "through entry", kw)
+                passes[cid] = _signed_list(kv, "through", "through entry", kw)
                 components.append(
                     Component(
                         cid,
@@ -356,7 +366,7 @@ class _Parser:
                     left, right, orient = item
                     if isinstance(orient, tuple):  # bare sign token parsed oddly
                         raise ParseError("bad strand orientation", kw.line, kw.col)
-                    o = _SIGNS.get(orient)
+                    o = _sign(orient)
                     if o is None:
                         raise ParseError(
                             f"strand orientation must be + or -, got {orient!r}",
@@ -370,7 +380,7 @@ class _Parser:
                 xid = self.take("name").value
                 kv = self.keyvals(params)
                 self.semicolon()
-                sign = _SIGNS.get(kv.get("sign", "+"))
+                sign = _sign(kv.get("sign", "+"))
                 if sign is None:
                     raise ParseError("crossing sign must be + or -", kw.line, kw.col)
                 if kw.value == "cross":
@@ -427,12 +437,12 @@ class _Parser:
             if kw.value == "disk":
                 disks.append((sid, kv.get("abuts")))
             elif kw.value == "sheet":
-                mult = _SIGNS.get(kv.get("mult", "+"))
+                mult = _sign(kv.get("mult", "+"))
                 if mult is None:
                     raise ParseError("sheet mult must be + or -", kw.line, kw.col)
                 sheets.append((sid, kv.get("on"), mult, kv.get("cap")))
             elif kw.value == "ribbon":
-                plist = tuple(_signed_list(kv.get("passes", ()), "pass", kw))
+                plist = tuple(_signed_list(kv, "passes", "pass", kw))
                 ribbons.append((sid, kv.get("from"), kv.get("to"), plist))
             else:
                 self.pos -= 1

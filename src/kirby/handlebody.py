@@ -252,10 +252,15 @@ def boundary_diagram(d: Diagram) -> Diagram:
     return replace(d, components=comps)
 
 
-def boundary_H1(h: Handlebody) -> AbelianGroup:
+def _boundary_matrix(h: Handlebody) -> tuple[list[list[int]], list[str]]:
+    """Linking matrix of the boundary surgery diagram, with its component ids."""
     b = boundary_diagram(h.diagram)
     ids = [c.id for c in b.components if c.kind == pdcode.FRAMED]
-    q = pdcode.linking_matrix(b, ids)
+    return pdcode.linking_matrix(b, ids), ids
+
+
+def boundary_H1(h: Handlebody) -> AbelianGroup:
+    q, ids = _boundary_matrix(h)
     return intmat.cokernel(q, ambient_rank=len(ids))
 
 
@@ -597,9 +602,7 @@ def extension_check(h: Handlebody, images) -> ExtensionCheck:
     the first homology of the boundary; it never asserts a smooth
     extension exists.
     """
-    b = boundary_diagram(h.diagram)
-    ids = [c.id for c in b.components if c.kind == pdcode.FRAMED]
-    q = pdcode.linking_matrix(b, ids)
+    q, ids = _boundary_matrix(h)
     framed = [c.id for c in h.diagram.components if c.kind == pdcode.FRAMED]
     if len(images) != len(framed):
         raise HandlebodyError(

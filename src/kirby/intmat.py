@@ -1,8 +1,10 @@
 """Exact integer matrix utilities shared by the homology and form modules.
 
 All matrices are lists (or tuples) of rows of Python ints, so every
-computation here is exact.  Sizes stay tiny (a handful of handles), which
-lets us use textbook algorithms without worrying about coefficient blowup.
+computation here is exact.  The Smith form ends with the invariant factors
+on the diagonal, each at most |det| for a nonsingular matrix, but on the
+way the entries of d, U and V still grow with n: on random 30x30 linking
+matrices they reach thousands to ~100k bits against ~70 bits of det.
 """
 
 from __future__ import annotations
@@ -89,85 +91,81 @@ class SmithForm:
         return out
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = x*a + y*b: (a, 1, 0) when a divides b, else g = gcd > 0."""
+    if b % a == 0:
+        return a, 1, 0
+    r0, r1, x0, x1 = a, b, 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1 = r1, r0 - q * r1, x1, x0 - q * x1
+    if r0 < 0:
+        r0, x0 = -r0, -x0
+    return r0, x0, (r0 - x0 * a) // b
+
+
 def smith_normal_form(a) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations."""
-    d = copy(a)
-    m, n = dims(d)
-    u = identity(m)
-    v = identity(n)
+    """Diagonalize an integer matrix by unimodular row/column operations.
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    Each pivot clears its column and row with 2x2 extended-gcd steps
+    (Kannan & Bachem 1979; Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4); (a, b) -> (gcd, lcm) on the diagonal then makes
+    each divisor divide the next.  Pivots stay positive, so d does too.
+    """
+    m, n = dims(a)
+    # d carries u to its right and v below it, so a row step acts on d and
+    # u at once and a column step (always on the first n columns) on d and v.
+    d = [list(row) + e for row, e in zip(a, identity(m))] + identity(n)
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def rows(i, j, x, y, z, w):
+        """Rows i, j become x*ri + y*rj, z*ri + w*rj (j wins if i == j)."""
+        ri, rj = d[i], d[j]
+        if (x, y, w) == (1, 0, 1):
+            d[j] = [q + z * p for p, q in zip(ri, rj)]
+        elif (x, y, w) == (0, 1, 0):
+            d[i], d[j] = rj, [z * p for p in ri]
+        else:
+            d[i] = [x * p + y * q for p, q in zip(ri, rj)]
+            d[j] = [z * p + w * q for p, q in zip(ri, rj)]
 
-    def add_row(i, j, c):  # row i += c * row j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    def cols(i, j, x, y, z, w):
+        """Columns i, j likewise."""
+        if (x, y, w) == (1, 0, 1):
+            for row in d:
+                row[j] += z * row[i]
+        else:
+            for row in d:
+                p, q = row[i], row[j]
+                row[i], row[j] = x * p + y * q, z * p + w * q
 
-    def add_col(i, j, c):  # col i += c * col j
-        for row in d:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a pivot
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0:
-                    if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
+    for t in range(min(m, n)):
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n) if d[i][j]), None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t
-        while True:
-            progressed = False
+        p, q = pivot
+        if p != t or d[p][q] < 0:
+            rows(p, t, 0, 1, 1 if d[p][q] > 0 else -1, 0)
+        if q != t:
+            cols(q, t, 0, 1, 1, 0)
+        # A step that is not a plain subtraction shrinks the pivot, and a
+        # column step that is one puts nothing back below it, so this ends.
+        while any(d[t][t + 1 : n]) or any(row[t] for row in d[t + 1 : m]):
             for i in range(t + 1, m):
                 if d[i][t]:
-                    c = d[i][t] // d[t][t]
-                    add_row(i, t, -c)
-                    if d[i][t]:
-                        swap_rows(i, t)
-                    progressed = True
+                    g, x, y = _xgcd(d[t][t], d[i][t])
+                    rows(t, i, x, y, -d[i][t] // g, d[t][t] // g)
             for j in range(t + 1, n):
                 if d[t][j]:
-                    c = d[t][j] // d[t][t]
-                    add_col(j, t, -c)
-                    if d[t][j]:
-                        swap_cols(j, t)
-                    progressed = True
-            if not progressed:
-                break
-        # enforce divisibility d_t | d_{t+1..}
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return SmithForm(d, u, v)
+                    g, x, y = _xgcd(d[t][t], d[t][j])
+                    cols(t, j, x, y, -d[t][j] // g, d[t][t] // g)
+    for i in range(min(m, n)):
+        for j in range(i + 1, min(m, n)):
+            di, dj = d[i][i], d[j][j]
+            if di and dj % di:
+                g, x, y = _xgcd(di, dj)
+                rows(i, j, x, y, -dj // g, di // g)
+                cols(i, j, 1, 1, -y * dj // g, x * di // g)
+    return SmithForm([row[:n] for row in d[:m]], [row[n:] for row in d[:m]], d[m:])
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,15 @@ def test_signed_lists_and_signs_keep_their_messages():
         "diagram d { across y sign=x between=(a,b); }": "crossing sign must be + or -",
         'surface s on "d" { sheet t on=a mult=0; }': "sheet mult must be + or -",
         "diagram d { box B strands=((a,b,x)); }": "strand orientation must be + or -",
+        "diagram d { component m kind=dot through=a1; }": (
+            "through must be a parenthesised list, got 'a1'"
+        ),
+        'surface s on "d" { disk x; ribbon r from=x to=x passes=x; }': (
+            "passes must be a parenthesised list, got 'x'"
+        ),
+        "diagram d { across y sign=true between=(a,b); }": "crossing sign must be + or -",
+        'surface s on "d" { sheet t on=a mult=true; }': "sheet mult must be + or -",
+        "diagram d { box B strands=((a,b,true)); }": "strand orientation must be + or -, got True",
     }
     for text, message in bad.items():
         with pytest.raises(dsl.ParseError, match=re.escape(message)):

@@ -6,7 +6,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kirby import intmat
+from kirby import handlebody, intmat
+from kirby.pdcode import FRAMED, Component, Crossing, Diagram
 
 from conftest import random_symmetric, random_unimodular
 
@@ -15,25 +16,70 @@ def random_matrix(m, n, rng, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
+def random_linking_matrix(n, rng):
+    """Framings in [-3, 3] on the diagonal, linking numbers in [-2, 2] off it."""
+    q = random_symmetric(n, rng, -2, 2)
+    for i in range(n):
+        q[i][i] = rng.randint(-3, 3)
+    return q
+
+
+def sympy_divisors(a):
+    d = sympy_snf(sympy.Matrix(a))
+    return [abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
+
+
 def test_smith_form_transforms_and_divisors(rng):
-    for trial in range(40):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 5)
-        a = random_matrix(m, n, rng)
+    cases = [random_matrix(rng.randint(1, 5), rng.randint(1, 5), rng) for _ in range(40)]
+    cases += [random_matrix(n, n, rng) for n in (8, 12, 16, 20)]
+    cases += [random_linking_matrix(n, rng) for n in (16, 20)]
+    cases += [random_matrix(20, 13, rng), random_matrix(11, 20, rng)]
+    rank_deficient = intmat.matmul(
+        random_matrix(20, 9, rng, -2, 2), random_matrix(9, 20, rng, -2, 2)
+    )
+    assert intmat.rank(rank_deficient) == 9
+    for a in cases + [rank_deficient]:
+        m, n = intmat.dims(a)
         sf = intmat.smith_normal_form(a)
         assert intmat.equal(
             intmat.matmul(intmat.matmul(sf.u, a), sf.v), sf.d
         )
         assert abs(intmat.det(sf.u)) == 1
         assert abs(intmat.det(sf.v)) == 1
+        assert all(sf.d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        assert all(sf.d[i][i] >= 0 for i in range(min(m, n)))
         divisors = sf.divisors
         for x, y in zip(divisors, divisors[1:]):
             assert y % x == 0
-        oracle = sympy_snf(sympy.Matrix(a))
-        oracle_divs = sorted(
-            abs(oracle[i, i]) for i in range(min(m, n)) if oracle[i, i] != 0
-        )
-        assert sorted(divisors) == oracle_divs
+        assert divisors == sympy_divisors(a)
+
+
+def test_cokernel_and_rank_against_sympy_at_30(rng):
+    rank_deficient = intmat.matmul(
+        random_matrix(30, 14, rng, -2, 2), random_matrix(14, 30, rng, -2, 2)
+    )
+    for a in (random_linking_matrix(30, rng), random_matrix(30, 22, rng), rank_deficient):
+        divisors = sympy_divisors(a)
+        g = intmat.cokernel(a)
+        assert g.rank == len(a) - len(divisors)
+        assert list(g.torsion) == [x for x in divisors if x > 1]
+        assert intmat.rank(a) == len(divisors)
+
+
+def test_boundary_h1_of_a_16_component_link_against_sympy(rng):
+    q = random_linking_matrix(16, rng)
+    ids = [f"c{i}" for i in range(16)]
+    comps = tuple(Component(c, FRAMED, q[i][i]) for i, c in enumerate(ids))
+    crossings = tuple(
+        Crossing(f"x{i}_{j}", v // abs(v), between=(ids[i], ids[j]), count=2 * abs(v))
+        for i in range(16)
+        for j, v in enumerate(q[i])
+        if j > i and v
+    )
+    h = handlebody.Handlebody(Diagram("link16", comps, crossings))
+    divisors = sympy_divisors(q)
+    torsion = tuple(x for x in divisors if x > 1)
+    assert handlebody.boundary_H1(h) == intmat.AbelianGroup(16 - len(divisors), torsion)
 
 
 def test_rank_and_det_against_sympy(rng):
