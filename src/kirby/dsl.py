@@ -187,7 +187,12 @@ def _signed_list(kv: dict, key: str, what: str, at: Token) -> list[tuple]:
     out = []
     for item in items:
         if isinstance(item, tuple) and len(item) == 2:
-            out.append(item)
+            sign = _sign(item[1])
+            if sign is None:
+                raise ParseError(
+                    f"{what} sign must be + or -, got {item[1]!r}", at.line, at.col
+                )
+            out.append((item[0], sign))
         elif isinstance(item, str):
             out.append((item, 1))
         else:

@@ -217,7 +217,10 @@ class HomologyReport:
 
 
 def homology(h: Handlebody) -> HomologyReport:
-    p, dots, framed = pass_matrix(h.diagram)
+    return _homology(h, *pass_matrix(h.diagram))
+
+
+def _homology(h: Handlebody, p, dots, framed) -> HomologyReport:
     h1 = intmat.cokernel(p, ambient_rank=len(dots))
     # rank p = #dots - rank h1, and a square p is unimodular iff h1 is trivial
     contractible = (
@@ -236,11 +239,16 @@ def intersection_form(h: Handlebody) -> BilinearForm:
     pass matrix zero); the general case needs boundary corrections this
     calculus never requires after cancellation.
     """
-    p, dots, framed = pass_matrix(h.diagram)
+    p, _, _ = pass_matrix(h.diagram)
+    return _intersection_form(h.diagram, p, pdcode.linking_matrix(h.diagram))
+
+
+def _intersection_form(d: Diagram, p, lk) -> BilinearForm:
+    """The form cut from ``lk``, the linking matrix of all of d's components."""
     if any(any(row) for row in p):
         raise HandlebodyError("intersection form undefined: 2-handles pass over 1-handles")
-    q = pdcode.linking_matrix(h.diagram, framed)
-    return BilinearForm.from_rows(q)
+    keep = [i for i, c in enumerate(d.components) if c.kind == pdcode.FRAMED]
+    return BilinearForm.from_rows([[lk[i][j] for j in keep] for i in keep])
 
 
 def boundary_diagram(d: Diagram) -> Diagram:
@@ -252,15 +260,17 @@ def boundary_diagram(d: Diagram) -> Diagram:
     return replace(d, components=comps)
 
 
-def _boundary_matrix(h: Handlebody) -> tuple[list[list[int]], list[str]]:
-    """Linking matrix of the boundary surgery diagram, with its component ids."""
-    b = boundary_diagram(h.diagram)
-    ids = [c.id for c in b.components if c.kind == pdcode.FRAMED]
-    return pdcode.linking_matrix(b, ids), ids
+def _boundary_matrix(d: Diagram, lk) -> tuple[list[list[int]], list[str]]:
+    """Linking matrix of the boundary surgery diagram, with its component ids,
+    cut from ``lk``, the linking matrix of all of d's components."""
+    keep = [i for i, c in enumerate(d.components) if c.kind in (pdcode.FRAMED, pdcode.DOTTED)]
+    dotted = [d.components[i].kind == pdcode.DOTTED for i in keep]
+    q = [[0 if i == j and dot else lk[i][j] for j in keep] for i, dot in zip(keep, dotted)]
+    return q, [d.components[i].id for i in keep]
 
 
 def boundary_H1(h: Handlebody) -> AbelianGroup:
-    q, ids = _boundary_matrix(h)
+    q, ids = _boundary_matrix(h.diagram, pdcode.linking_matrix(h.diagram))
     return intmat.cokernel(q, ambient_rank=len(ids))
 
 
@@ -273,22 +283,23 @@ def fundamental_group(h: Handlebody):
 def invariant_report(h: Handlebody) -> dict:
     from . import grouppres
 
-    hom = homology(h)
+    p, dots, framed = pass_matrix(h.diagram)
+    lk = pdcode.linking_matrix(h.diagram)
+    hom = _homology(h, p, dots, framed)
+    q, ids = _boundary_matrix(h.diagram, lk)
     report = {
         "components": len(h.diagram.components),
-        "linking_matrix": [
-            list(r) for r in pdcode.linking_matrix(h.diagram)
-        ],
+        "linking_matrix": [list(r) for r in lk],
         "homology": {
             "h1": str(hom.h1),
             "h2_rank": hom.h2_rank,
             "contractible": hom.contractible,
         },
-        "boundary_h1": str(boundary_H1(h)),
+        "boundary_h1": str(intmat.cokernel(q, ambient_rank=len(ids))),
         "pi1": str(fundamental_group(h)),
     }
     try:
-        form = intersection_form(h)
+        form = _intersection_form(h.diagram, p, lk)
         c = form.classify()
         report["form"] = {
             "matrix": [list(r) for r in form.matrix],
@@ -602,7 +613,8 @@ def extension_check(h: Handlebody, images) -> ExtensionCheck:
     the first homology of the boundary; it never asserts a smooth
     extension exists.
     """
-    q, ids = _boundary_matrix(h)
+    q, ids = _boundary_matrix(h.diagram, pdcode.linking_matrix(h.diagram))
+    h1 = intmat.cokernel(q, ambient_rank=len(ids))
     framed = [c.id for c in h.diagram.components if c.kind == pdcode.FRAMED]
     if len(images) != len(framed):
         raise HandlebodyError(
@@ -618,7 +630,9 @@ def extension_check(h: Handlebody, images) -> ExtensionCheck:
         target = [0] * len(ids)
         target[ids.index(fid)] = 1
         diff = [v - t for v, t in zip(vec, target)]
-        if intmat.solve(q, diff) is None:
+        # diff is in the span of q iff adjoining it keeps rank and divisor product
+        with_diff = [row + [x] for row, x in zip(q, diff)]
+        if intmat.cokernel(with_diff, ambient_rank=len(ids)) != h1:
             reasons.append(
                 f"meridian image for {fid} is not the meridian class in H1(boundary)"
             )

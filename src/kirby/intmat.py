@@ -1,16 +1,16 @@
 """Exact integer matrix utilities shared by the homology and form modules.
 
-All matrices are lists (or tuples) of rows of Python ints, so every
-computation here is exact.  The Smith form ends with the invariant factors
-on the diagonal, each at most |det| for a nonsingular matrix, but on the
-way the entries of d, U and V still grow with n: on random 30x30 linking
-matrices they reach thousands to ~100k bits against ~70 bits of det.
+All matrices are lists (or tuples) of rows of Python ints.  Bareiss
+elimination (``det``, ``rank``, ``inertia``) keeps each entry a minor, and
+``cokernel`` works modulo one nonzero minor, so their entries stay small;
+only ``smith_normal_form``, which must also return U and V, lets entries
+grow (to thousands of bits on 30x30 inputs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[int]]
 
@@ -104,68 +104,154 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return r0, x0, (r0 - x0 * a) // b
 
 
-def smith_normal_form(a) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _rows(d, i, j, x, y, z, w):
+    """Rows i, j of d become x*ri + y*rj, z*ri + w*rj (j wins if i == j)."""
+    ri, rj = d[i], d[j]
+    if (x, y, w) == (1, 0, 1):
+        d[j] = [q + z * p for p, q in zip(ri, rj)]
+    elif (x, y, w) == (0, 1, 0):
+        d[i], d[j] = rj, [z * p for p in ri]
+    else:
+        d[i] = [x * p + y * q for p, q in zip(ri, rj)]
+        d[j] = [z * p + w * q for p, q in zip(ri, rj)]
+
+
+def _cols(d, i, j, x, y, z, w):
+    """Columns i, j of d likewise, over every row of d."""
+    if (x, y, w) == (1, 0, 1):
+        for row in d:
+            row[j] += z * row[i]
+    else:
+        for row in d:
+            p, q = row[i], row[j]
+            row[i], row[j] = x * p + y * q, z * p + w * q
+
+
+def _eliminate(d, m, n, mod=0) -> int:
+    """Diagonalize the leading m x n block of d in place; return the pivot count.
 
     Each pivot clears its column and row with 2x2 extended-gcd steps
     (Kannan & Bachem 1979; Cohen, *A Course in Computational Algebraic
-    Number Theory*, 2.4); (a, b) -> (gcd, lcm) on the diagonal then makes
-    each divisor divide the next.  Pivots stay positive, so d does too.
+    Number Theory*, 2.4).  A row step acts on the whole row of d and a
+    column step on the whole column, so rows and columns beyond the block
+    carry the transforms.  A pivot may stay negative.
+
+    With ``mod`` > 0, d has no transforms and only the diagonal is read
+    afterwards: the rows still to be pivoted are reduced to residues of
+    least absolute value before each pivot search, and a pivot row whose
+    entries the pivot divides is left as it is, because the column steps
+    that would clear it change no other row.
+    """
+    half = mod // 2
+    for t in range(min(m, n)):
+        if mod:
+            d[t:m] = [[(x + half) % mod - half for x in row] for row in d[t:m]]
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n) if d[i][j]), None)
+        if pivot is None:
+            return t
+        p, q = pivot
+        if p != t:
+            _rows(d, p, t, 0, 1, 1, 0)
+        if q != t:
+            _cols(d, q, t, 0, 1, 1, 0)
+        # A step that is not a plain subtraction shrinks |pivot|, and a
+        # column step that is one puts nothing back below it, so this ends.
+        while True:
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    g, x, y = _xgcd(d[t][t], d[i][t])
+                    _rows(d, t, i, x, y, -d[i][t] // g, d[t][t] // g)
+            if not any(d[t][t + 1 : n]):
+                break
+            if mod and not any(x % d[t][t] for x in d[t][t + 1 : n]):
+                break
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    g, x, y = _xgcd(d[t][t], d[t][j])
+                    _cols(d, t, j, x, y, -d[t][j] // g, d[t][t] // g)
+            if not any(row[t] for row in d[t + 1 : m]):
+                break
+    return min(m, n)
+
+
+def smith_normal_form(a) -> SmithForm:
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    After the elimination, negative pivots are negated and (a, b) ->
+    (gcd, lcm) on the diagonal makes each divisor divide the next.
     """
     m, n = dims(a)
     # d carries u to its right and v below it, so a row step acts on d and
     # u at once and a column step (always on the first n columns) on d and v.
     d = [list(row) + e for row, e in zip(a, identity(m))] + identity(n)
-
-    def rows(i, j, x, y, z, w):
-        """Rows i, j become x*ri + y*rj, z*ri + w*rj (j wins if i == j)."""
-        ri, rj = d[i], d[j]
-        if (x, y, w) == (1, 0, 1):
-            d[j] = [q + z * p for p, q in zip(ri, rj)]
-        elif (x, y, w) == (0, 1, 0):
-            d[i], d[j] = rj, [z * p for p in ri]
-        else:
-            d[i] = [x * p + y * q for p, q in zip(ri, rj)]
-            d[j] = [z * p + w * q for p, q in zip(ri, rj)]
-
-    def cols(i, j, x, y, z, w):
-        """Columns i, j likewise."""
-        if (x, y, w) == (1, 0, 1):
-            for row in d:
-                row[j] += z * row[i]
-        else:
-            for row in d:
-                p, q = row[i], row[j]
-                row[i], row[j] = x * p + y * q, z * p + w * q
-
-    for t in range(min(m, n)):
-        pivot = next(((i, j) for i in range(t, m) for j in range(t, n) if d[i][j]), None)
-        if pivot is None:
-            break
-        p, q = pivot
-        if p != t or d[p][q] < 0:
-            rows(p, t, 0, 1, 1 if d[p][q] > 0 else -1, 0)
-        if q != t:
-            cols(q, t, 0, 1, 1, 0)
-        # A step that is not a plain subtraction shrinks the pivot, and a
-        # column step that is one puts nothing back below it, so this ends.
-        while any(d[t][t + 1 : n]) or any(row[t] for row in d[t + 1 : m]):
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    g, x, y = _xgcd(d[t][t], d[i][t])
-                    rows(t, i, x, y, -d[i][t] // g, d[t][t] // g)
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    g, x, y = _xgcd(d[t][t], d[t][j])
-                    cols(t, j, x, y, -d[t][j] // g, d[t][t] // g)
+    _eliminate(d, m, n)
+    for i in range(min(m, n)):
+        if d[i][i] < 0:
+            _rows(d, i, i, 0, 1, -1, 0)
     for i in range(min(m, n)):
         for j in range(i + 1, min(m, n)):
             di, dj = d[i][i], d[j][j]
             if di and dj % di:
                 g, x, y = _xgcd(di, dj)
-                rows(i, j, x, y, -dj // g, di // g)
-                cols(i, j, 1, 1, -y * dj // g, x * di // g)
+                _rows(d, i, j, x, y, -dj // g, di // g)
+                _cols(d, i, j, 1, 1, -y * dj // g, x * di // g)
     return SmithForm([row[:n] for row in d[:m]], [row[n:] for row in d[:m]], d[m:])
+
+
+def _rank_minor(a) -> tuple[int, int]:
+    """(r, M): the rank r of ``a`` and one nonzero r x r minor M (1 when r
+    is 0), by Bareiss fraction-free elimination with full pivoting.  For a
+    nonsingular square matrix M is its determinant."""
+    b = copy(a)
+    sign = prev = 1
+    r = 0
+    while True:
+        if b and b[0] and b[0][0]:
+            i = j = 0
+        else:
+            pivot = next(((i, j) for i, row in enumerate(b) for j, x in enumerate(row) if x), None)
+            if pivot is None:
+                return r, sign * prev
+            i, j = pivot
+        if i:
+            b[0], b[i] = b[i], b[0]
+            sign = -sign
+        if j:
+            for row in b:
+                row[0], row[j] = row[j], row[0]
+            sign = -sign
+        prev, b = b[0][0], _bareiss_step(b, prev)
+        r += 1
+
+
+def _bareiss_step(b, prev):
+    """The block left after pivoting on b[0][0], ``prev`` being the pivot
+    before it.  Every entry stays a minor of the input, so each division
+    is exact (Bareiss 1968)."""
+    piv, *top = b[0]
+    return [[(piv * x - c * y) // prev for x, y in zip(rest, top)] for c, *rest in b[1:]]
+
+
+def _divisors(a) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of ``a``, without U or V.
+
+    d_1 ... d_r divides any nonzero r x r minor M, so Z^m / (span a + M Z^m)
+    has invariant factors d_1, ..., d_r, M, ..., M.  The elimination runs on
+    the entries of ``a`` reduced mod M (Domich, Kannan & Trotter 1987; Cohen,
+    Alg. 2.4.14): a pivot e gives gcd(e, M), a row left without a pivot
+    gives M, the (gcd, lcm) pass orders them, and the first r are kept.
+    """
+    m, n = dims(a)
+    r, minor = _rank_minor(a)
+    mod = abs(minor)
+    d = copy(a)
+    t = _eliminate(d, m, n, mod)
+    out = [gcd(d[i][i], mod) for i in range(t)] + [mod] * (m - t)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if out[j] % out[i]:
+                out[i], out[j] = gcd(out[i], out[j]), lcm(out[i], out[j])
+    return out[:r]
 
 
 @dataclass(frozen=True)
@@ -199,7 +285,7 @@ def cokernel(a, ambient_rank: int | None = None) -> AbelianGroup:
         ambient_rank = m
     if n == 0 or m == 0:
         return AbelianGroup(rank=ambient_rank)
-    divisors = smith_normal_form(a).divisors
+    divisors = _divisors(a)
     torsion = tuple(d for d in divisors if d > 1)
     return AbelianGroup(rank=ambient_rank - len(divisors), torsion=torsion)
 
@@ -218,36 +304,15 @@ def kernel_basis(a) -> list[list[int]]:
 
 
 def rank(a) -> int:
-    m, n = dims(a)
-    if m == 0 or n == 0:
-        return 0
-    return len(smith_normal_form(a).divisors)
+    return _rank_minor(a)[0]
 
 
 def det(a) -> int:
     m, n = dims(a)
     if m != n:
         raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    # Bareiss fraction-free elimination
-    b = copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if b[k][k] == 0:
-            for i in range(k + 1, n):
-                if b[i][k] != 0:
-                    b[i], b[k] = b[k], b[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                b[i][j] = (b[i][j] * b[k][k] - b[i][k] * b[k][j]) // prev
-        prev = b[k][k]
-    return sign * b[n - 1][n - 1]
+    r, minor = _rank_minor(a)
+    return minor if r == n else 0
 
 
 def solve(a, b) -> list[int] | None:
@@ -272,70 +337,46 @@ def solve(a, b) -> list[int] | None:
     return matvec(sf.v, y)
 
 
-def is_unimodular(a) -> bool:
-    m, n = dims(a)
-    return m == n and abs(det(a)) == 1
-
-
 # ---------------------------------------------------------------------------
-# Signature of a symmetric matrix, by exact congruence diagonalization
+# Signature of a symmetric matrix, by fraction-free congruence elimination
 
 
 def inertia(q) -> tuple[int, int, int]:
-    """(positive, negative, zero) counts of a symmetric integer matrix."""
+    """(positive, negative, zero) counts of a symmetric integer matrix.
+
+    Symmetric Bareiss elimination on a diagonal pivot: the k-th pivot is a
+    leading principal minor of a congruent matrix, so the k-th LDL^T pivot
+    has the sign of pivot_k * pivot_{k-1} (Sylvester's law of inertia).
+    """
     if not is_symmetric(q):
         raise ValueError("matrix is not symmetric")
-    n = len(q)
-    a = [[Fraction(x) for x in row] for row in q]
-    pos = neg = zero = 0
-    start = 0
-    while start < n:
-        # choose a nonzero diagonal pivot, creating one if necessary
-        p = None
-        for i in range(start, n):
-            if a[i][i] != 0:
-                p = i
-                break
+    a = copy(q)
+    pos = neg = 0
+    prev = 1
+    while a:
+        p = next((i for i in range(len(a)) if a[i][i]), None)
         if p is None:
-            offdiag = None
-            for i in range(start, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        offdiag = (i, j)
-                        break
-                if offdiag:
-                    break
+            offdiag = next(
+                ((i, j) for i in range(len(a)) for j in range(i + 1, len(a)) if a[i][j]), None
+            )
             if offdiag is None:
-                zero += n - start
                 break
             i, j = offdiag
             # row/col i += row/col j makes a[i][i] = 2 a[i][j] != 0
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            p = i
-        if p != start:
-            a[p], a[start] = a[start], a[p]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
-                row[p], row[start] = row[start], row[p]
-        piv = a[start][start]
-        if piv > 0:
+                row[i] += row[j]
+            p = i
+        if p:
+            a[0], a[p] = a[p], a[0]
+            for row in a:
+                row[0], row[p] = row[p], row[0]
+        if a[0][0] * prev > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(start + 1, n):
-            if a[i][start] != 0:
-                c = a[i][start] / piv
-                for k in range(n):
-                    a[i][k] -= c * a[start][k]
-        for i in range(start + 1, n):
-            if a[start][i] != 0:
-                c = a[start][i] / piv
-                for k in range(n):
-                    a[k][i] -= c * a[k][start]
-        start += 1
-    return pos, neg, zero
+        prev, a = a[0][0], _bareiss_step(a, prev)
+    return pos, neg, len(q) - pos - neg
 
 
 def signature(q) -> int:

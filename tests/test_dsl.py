@@ -128,6 +128,11 @@ def test_signed_lists_and_signs_keep_their_messages():
     assert [(p.edge, p.sign) for p in marks] == [("a1", 1), ("b1", 1), ("c1", -1)]
     s = dsl.parse('surface s on "d" { disk x; ribbon r from=x to=x passes=(-x, x); }')
     assert s.surfaces["s"].ribbons[0][3] == (("x", -1), ("x", 1))
+    d = dsl.parse("diagram d { component m kind=dot through=((a1, -), (b1, +), (c1, -1)); }")
+    marks = d.diagrams["d"].component("m").through
+    assert [(p.edge, p.sign) for p in marks] == [("a1", -1), ("b1", 1), ("c1", -1)]
+    s = dsl.parse('surface s on "d" { disk x; ribbon r from=x to=x passes=((x, -)); }')
+    assert s.surfaces["s"].ribbons[0][3] == (("x", -1),)
     bad = {
         "diagram d { component m kind=dot through=((a,b,c)); }": "bad through entry",
         'surface s on "d" { disk x; ribbon r from=x to=x passes=(3); }': "bad pass 3",
@@ -143,6 +148,18 @@ def test_signed_lists_and_signs_keep_their_messages():
         "diagram d { across y sign=true between=(a,b); }": "crossing sign must be + or -",
         'surface s on "d" { sheet t on=a mult=true; }': "sheet mult must be + or -",
         "diagram d { box B strands=((a,b,true)); }": "strand orientation must be + or -, got True",
+        "diagram d { component m kind=dot through=((a1, b1)); }": (
+            "through entry sign must be + or -, got 'b1'"
+        ),
+        "diagram d { component m kind=dot through=((a2, 7)); }": (
+            "through entry sign must be + or -, got 7"
+        ),
+        "diagram d { component m kind=dot through=((a2, true)); }": (
+            "through entry sign must be + or -, got True"
+        ),
+        'surface s on "d" { disk x; ribbon r from=x to=x passes=((x, y)); }': (
+            "pass sign must be + or -, got 'y'"
+        ),
     }
     for text, message in bad.items():
         with pytest.raises(dsl.ParseError, match=re.escape(message)):

@@ -417,7 +417,7 @@ def three_elimination_homology(h):
     h1 = intmat.cokernel(p, ambient_rank=len(dots))
     h2_rank = len(framed) - intmat.rank(p)
     square_unimodular = (
-        len(dots) == len(framed) and (not dots or intmat.is_unimodular(p))
+        len(dots) == len(framed) and (not dots or abs(intmat.det(p)) == 1)
     )
     contractible = (
         square_unimodular
@@ -457,14 +457,56 @@ def test_homology_matches_three_eliminations(rng):
 
 def test_homology_runs_one_elimination(rng, monkeypatch):
     calls = []
-    smith = intmat.smith_normal_form
+    for name in ("_divisors", "smith_normal_form"):
+        elimination = getattr(intmat, name)
 
-    def counted(a):
-        calls.append(a)
-        return smith(a)
+        def counted(a, elimination=elimination):
+            calls.append(a)
+            return elimination(a)
 
-    monkeypatch.setattr(intmat, "smith_normal_form", counted)
+        monkeypatch.setattr(intmat, name, counted)
     for p, n in random_pass_matrices(rng):
         calls.clear()
         handlebody.homology(Handlebody(pass_diagram(p, n, rng)))
         assert len(calls) == (1 if p and n else 0)
+
+
+def test_invariant_report_builds_each_matrix_once(monkeypatch):
+    from kirby import corpus
+
+    dotted = Diagram(
+        "framed_dot",
+        (
+            Component("m", DOTTED, framing=5, through=(Pass("a1", 1, 0),)),
+            Component("k", FRAMED, 2, ("a1",)),
+        ),
+        (Crossing("x", 1, between=("m", "k"), count=2),),
+    )
+    cases = [Handlebody(d) for d in corpus.load_document().diagrams.values()] + [
+        dotted_example(), hopf_handlebody(), Handlebody(dotted)
+    ]
+    calls = []
+    for module, name in ((pdcode, "linking_matrix"), (handlebody, "pass_matrix")):
+        build = getattr(module, name)
+
+        def counted(*args, build=build, name=name):
+            calls.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    reports = []
+    for h in cases:
+        calls.clear()
+        reports.append(handlebody.invariant_report(h))
+        assert sorted(calls) == ["linking_matrix", "pass_matrix"]
+    monkeypatch.undo()
+    for h, report in zip(cases, reports):
+        b = handlebody.boundary_diagram(h.diagram)
+        ids = [c.id for c in b.components if c.kind == FRAMED]
+        expected = intmat.cokernel(pdcode.linking_matrix(b, ids), ambient_rank=len(ids))
+        assert report["boundary_h1"] == str(expected) == str(handlebody.boundary_H1(h))
+        try:
+            form = [list(r) for r in handlebody.intersection_form(h).matrix]
+        except handlebody.HandlebodyError:
+            form = None
+        assert (report["form"] and report["form"]["matrix"]) == form

@@ -1,15 +1,39 @@
-"""Exact integer linear algebra, checked against sympy."""
+"""Exact integer linear algebra, checked against sympy and the earlier code."""
 
+import importlib.util
 import random
+import signal
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from kirby import handlebody, intmat
 from kirby.pdcode import FRAMED, Component, Crossing, Diagram
 
 from conftest import random_symmetric, random_unimodular
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def _bench_workloads():
+    """The benchmark's input generators (bench/workloads.py, stdlib only)."""
+    if "bench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["bench_workloads"]
+
+
+def benchmark_link_matrix(seed, n):
+    w = _bench_workloads()
+    return w.link_matrix(w.link_spec(random.Random(seed), n))
 
 
 def random_matrix(m, n, rng, lo=-5, hi=5):
@@ -176,6 +200,156 @@ def test_signature_congruence_invariant(rng):
 
 
 def test_is_unimodular():
-    assert intmat.is_unimodular([[1, 5], [0, -1]])
-    assert not intmat.is_unimodular([[2, 0], [0, 1]])
-    assert not intmat.is_unimodular([[1, 0]])
+    assert abs(intmat.det([[1, 5], [0, -1]])) == 1
+    assert abs(intmat.det([[2, 0], [0, 1]])) != 1
+    with pytest.raises(ValueError):
+        intmat.det([[1, 0]])
+
+
+def fraction_inertia(q):
+    """The earlier inertia: congruence diagonalization over Fractions."""
+    n = len(q)
+    a = [[Fraction(x) for x in row] for row in q]
+    pos = neg = zero = 0
+    start = 0
+    while start < n:
+        p = None
+        for i in range(start, n):
+            if a[i][i] != 0:
+                p = i
+                break
+        if p is None:
+            offdiag = None
+            for i in range(start, n):
+                for j in range(i + 1, n):
+                    if a[i][j] != 0:
+                        offdiag = (i, j)
+                        break
+                if offdiag:
+                    break
+            if offdiag is None:
+                zero += n - start
+                break
+            i, j = offdiag
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            p = i
+        if p != start:
+            a[p], a[start] = a[start], a[p]
+            for row in a:
+                row[p], row[start] = row[start], row[p]
+        piv = a[start][start]
+        if piv > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(start + 1, n):
+            if a[i][start] != 0:
+                c = a[i][start] / piv
+                for k in range(n):
+                    a[i][k] -= c * a[start][k]
+        for i in range(start + 1, n):
+            if a[start][i] != 0:
+                c = a[start][i] / piv
+                for k in range(n):
+                    a[k][i] -= c * a[k][start]
+        start += 1
+    return pos, neg, zero
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Up to 8x8, optionally with a zero diagonal, optionally singular."""
+    n = draw(st.integers(0, 7))
+    zero_diagonal = draw(st.booleans())
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                b[i][j] = b[j][i] = draw(st.integers(-3, 3))
+    if n and draw(st.booleans()):  # one more basis vector repeats the first
+        idx = list(range(n)) + [0]
+        return [[b[i][j] for j in idx] for i in idx]
+    return b
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 6x6, square or not, dense or of rank at most k."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)]
+    k = draw(st.integers(0, min(m, n)))
+    left = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(m)]
+    right = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(k)]
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@SEEDED
+@given(symmetric_matrices())
+def test_inertia_matches_fraction_elimination(q):
+    assert intmat.inertia(q) == fraction_inertia(q)
+
+
+@SEEDED
+@given(integer_matrices())
+def test_divisors_match_smith_form(a):
+    divisors = intmat.smith_normal_form(a).divisors
+    assert intmat._divisors(a) == divisors
+    assert intmat.rank(a) == len(divisors)
+    g = intmat.cokernel(a)
+    assert g.rank == len(a) - len(divisors)
+    assert list(g.torsion) == [x for x in divisors if x > 1]
+
+
+@SEEDED
+@given(integer_matrices(), st.data())
+def test_span_membership_by_cokernel_matches_solve(q, data):
+    m, n = intmat.dims(q)
+    if data.draw(st.booleans()):
+        v = intmat.matvec(q, [data.draw(st.integers(-3, 3)) for _ in range(n)])
+        v = [x + data.draw(st.sampled_from((0, 0, 1))) for x in v]
+    else:
+        v = [data.draw(st.integers(-4, 4)) for _ in range(m)]
+    adjoined = [row + [x] for row, x in zip(q, v)]
+    assert (intmat.cokernel(adjoined) == intmat.cokernel(q)) == (intmat.solve(q, v) is not None)
+
+
+@pytest.mark.parametrize("seed", [40001, 40002])
+def test_cokernel_and_inertia_against_sympy_at_40(seed):
+    q = benchmark_link_matrix(seed, 40)
+    divisors = sympy_divisors(q)
+    g = intmat.cokernel(q)
+    assert g.rank == 40 - len(divisors)
+    assert list(g.torsion) == [x for x in divisors if x > 1]
+    assert intmat.rank(q) == len(divisors)
+    assert intmat.inertia(q) == fraction_inertia(q)
+
+
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_divisors_of_the_slowest_40_component_link_under_a_deadline():
+    # Seed 40004 drove the unreduced elimination past five minutes.
+    q = benchmark_link_matrix(40004, 40)
+    with deadline(5):
+        g = intmat.cokernel(q)
+        d = intmat.det(q)
+    product = 1
+    for x in g.torsion:
+        product *= x
+    assert g.rank == 0
+    assert product == abs(d) != 0
