@@ -124,6 +124,7 @@ def cmd_pi1(args) -> int:
             "simplified": str(simp.presentation),
             "abelianization": str(g.abelianization()),
             "trivial": simp.presentation.is_obviously_trivial(),
+            "budget_exhausted": simp.budget_exhausted,
         }
         lines.append(f"{name}: {g}")
         lines.append(f"  simplified:     {simp.presentation}")

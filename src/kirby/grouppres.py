@@ -10,8 +10,11 @@ presentation reproduces the output exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import intmat
 from .intmat import AbelianGroup
@@ -263,6 +266,12 @@ def _cyclic_equal(a: Word, b: Word) -> bool:
     return any(rotate_word(a, k) == b for k in range(max(len(a), 1)))
 
 
+def _least_rotation(w: Word) -> Word:
+    """The least of the cyclic rotations of w: equal exactly for
+    cyclically equal words."""
+    return min((w[k:] + w[:k] for k in range(len(w))), default=w)
+
+
 def _single_occurrence(r: Word, g: int) -> int | None:
     """Index of the unique occurrence of generator g (1-based) in r."""
     hits = [k for k, x in enumerate(r) if abs(x) == g]
@@ -325,14 +334,15 @@ def tietze_simplify(g: GroupPresentation, budget: int = 1000) -> Simplification:
     changed = True
     while changed:
         changed = False
-        rels = list(cur.relators)
 
-        # drop empty or duplicate relators (empties are gone already)
-        for i in range(len(rels)):
-            r = rels[i]
-            if any(_cyclic_equal(r, rels[j]) or _cyclic_equal(r, invert_word(rels[j]))
-                   for j in range(i)):
-                if not any(_cyclic_equal(r, rels[j]) for j in range(i)):
+        # drop empty or duplicate relators (empties are gone already);
+        # relators are compared by their least rotation
+        seen: set[Word] = set()
+        seen_inverse: set[Word] = set()
+        for i, r in enumerate(cur.relators):
+            key = _least_rotation(r)
+            if key in seen or key in seen_inverse:
+                if key not in seen:
                     # only an inverse duplicate: invert first so removal is legal
                     if not spend():
                         return Simplification(cur, tuple(log), True)
@@ -344,6 +354,8 @@ def tietze_simplify(g: GroupPresentation, budget: int = 1000) -> Simplification:
                 cur = apply_tietze(cur, [("remove", i)])
                 changed = True
                 break
+            seen.add(key)
+            seen_inverse.add(_least_rotation(invert_word(r)))
         if changed:
             continue
 
@@ -351,11 +363,9 @@ def tietze_simplify(g: GroupPresentation, budget: int = 1000) -> Simplification:
         # shortest relator, then lowest indices
         best = None
         for i, r in enumerate(cur.relators):
-            for gen in range(1, cur.rank + 1):
-                if _single_occurrence(r, gen) is not None:
-                    key = (len(r), i, gen)
-                    if best is None or key < best:
-                        best = key
+            once = [gen for gen, k in Counter(abs(x) for x in r).items() if k == 1]
+            if once and (best is None or len(r) < best[0]):
+                best = (len(r), i, min(once))
         if best is not None:
             _, i, gen = best
             if not spend():
@@ -449,19 +459,35 @@ def tietze_equivalent(
 # Homomorphisms into symmetric groups
 
 
+@functools.lru_cache(maxsize=None)
 def _perm_table(n: int):
-    elems = sorted(itertools.permutations(range(n)))
+    """S_n as (elems, index, table, inverse, classes), built on first use
+    for each n and shared read-only afterwards.
+
+    ``elems`` are the sorted one-line tuples and ``index`` their positions.
+    ``table[p][q]`` is the index of p∘q, with (p∘q)(k) = p(q(k)).
+    ``classes`` holds (representative, class size) for each conjugacy
+    class, the representatives ascending.
+    """
+    elems = tuple(sorted(itertools.permutations(range(n))))
     index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[tuple(p[q[k]] for k in range(n))] for q in elems] for p in elems
-    ]
+    table = tuple(
+        tuple(index[tuple(p[q[k]] for k in range(n))] for q in elems) for p in elems
+    )
     inverse = []
     for p in elems:
         inv = [0] * n
         for a, b in enumerate(p):
             inv[b] = a
         inverse.append(index[tuple(inv)])
-    return elems, index, table, inverse
+    classes = []
+    seen = set()
+    for x in range(len(elems)):
+        if x not in seen:
+            cls = {table[table[s][x]][inverse[s]] for s in range(len(elems))}
+            seen |= cls
+            classes.append((x, len(cls)))
+    return elems, MappingProxyType(index), table, tuple(inverse), tuple(classes)
 
 
 def evaluate_word(w: Word, images, table, inverse, identity: int) -> int:
@@ -484,26 +510,79 @@ class QuotientCount:
 
 
 def enumerate_homs(g: GroupPresentation, n: int, witnesses: bool = True) -> QuotientCount:
-    """Count homomorphisms into the symmetric group S_n by brute force."""
+    """Count the homomorphisms into the symmetric group S_n, and the
+    surjective ones.  The counts are exact.
+
+    A depth-first search binds the generators one at a time and checks
+    each relator as soon as its last generator has an image.  The first
+    generator takes only one representative of each conjugacy class, and
+    its branch counts the class size times: conjugating by s maps the
+    homomorphisms sending it to x one-to-one onto those sending it to
+    s x s^-1, and keeps surjectivity.  The witnesses are all conjugates of
+    the surjective homomorphisms found, ordered by their images as in
+    ``itertools.product`` over the sorted elements of S_n.
+    """
     if n < 1 or n > 6:
         raise GroupError("supported range is 1 <= n <= 6")
-    elems, index, table, inverse = _perm_table(n)
+    elems, index, table, inverse, classes = _perm_table(n)
     identity = index[tuple(range(n))]
     order = len(elems)
+    plan = _binding_order(g)
+    images = [identity] * g.rank
+    anything = [(x, 1) for x in range(order)]
     total = surj = 0
     found = []
-    for images in itertools.product(range(order), repeat=g.rank):
-        if any(
-            evaluate_word(r, images, table, inverse, identity) != identity
-            for r in g.relators
-        ):
-            continue
-        total += 1
-        if _generates(images, table, identity, order):
-            surj += 1
-            if witnesses:
-                found.append(tuple(elems[i] for i in images))
-    return QuotientCount(total, surj, tuple(found))
+
+    def bind(level: int, weight: int) -> None:
+        nonlocal total, surj
+        if level == len(plan):
+            total += weight
+            if _generates(images, table, identity, order):
+                surj += weight
+                if witnesses:
+                    found.append(tuple(images))
+            return
+        gen, rels = plan[level]
+        for x, size in classes if level == 0 else anything:
+            images[gen] = x
+            for r in rels:
+                if evaluate_word(r, images, table, inverse, identity) != identity:
+                    break
+            else:
+                bind(level + 1, weight * size)
+
+    bind(0, 1)
+    conjugates = sorted({
+        tuple(table[table[s][x]][inverse[s]] for x in h) for h in found for s in range(order)
+    })
+    return QuotientCount(total, surj, tuple(tuple(elems[x] for x in h) for h in conjugates))
+
+
+def _binding_order(g: GroupPresentation) -> list[tuple[int, tuple[Word, ...]]]:
+    """(generator, relators it completes) in the order the search binds
+    them: next the generator that completes the most relators, then the
+    one that shares relators with the most bound generators, then the
+    lowest."""
+    pending = [(frozenset(abs(x) - 1 for x in r), r) for r in g.relators]
+    neighbours = [set() for _ in range(g.rank)]
+    for gens, _ in pending:
+        for gen in gens:
+            neighbours[gen] |= gens
+    bound: set[int] = set()
+    plan = []
+    remaining = list(range(g.rank))
+
+    def score(gen):
+        completes = sum(1 for gens, _ in pending if gen in gens and gens <= bound | {gen})
+        return completes, len(neighbours[gen] & bound), -gen
+
+    while remaining:
+        gen = max(remaining, key=score)
+        remaining.remove(gen)
+        bound.add(gen)
+        plan.append((gen, tuple(r for gens, r in pending if gen in gens and gens <= bound)))
+        pending = [(gens, r) for gens, r in pending if not gens <= bound]
+    return plan
 
 
 def _generates(images, table, identity: int, order: int) -> bool:

@@ -298,7 +298,10 @@ def check_sum_well_defined(
     reasons = []
     simp = grouppres.tietze_simplify(hb.fundamental_group(host), budget)
     if not simp.presentation.is_obviously_trivial():
-        reasons.append("host fundamental group not certified trivial")
+        reason = "host fundamental group not certified trivial"
+        if simp.budget_exhausted:
+            reason += f" (Tietze budget of {budget} steps ran out)"
+        reasons.append(reason)
     si = self_intersection(s2)
     if si in (1, -1):
         pass

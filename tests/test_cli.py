@@ -75,6 +75,29 @@ def test_pi1_output(good_file, capsys):
     assert payload["pair"]["trivial"] is True
 
 
+TWIN = """
+diagram twin {
+  component a kind=framed framing=0 edges=(a1);
+  component m kind=dot through=(+a1);
+  component b kind=framed framing=0 edges=(b1);
+  component n kind=dot through=(+b1);
+}
+"""
+
+
+def test_pi1_reports_tietze_budget_exhaustion(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "twin.kd"
+    p.write_text(TWIN)
+    code, payload = run_json(capsys, ["pi1", str(p), "--json"])
+    assert code == 0
+    assert (payload["twin"]["trivial"], payload["twin"]["budget_exhausted"]) == (True, False)
+    # two generators to eliminate, one step allowed
+    monkeypatch.setenv("KIRBY_BUDGET", "1")
+    code, payload = run_json(capsys, ["pi1", str(p), "--json"])
+    assert code == 0
+    assert (payload["twin"]["trivial"], payload["twin"]["budget_exhausted"]) == (False, True)
+
+
 def test_run_script_success_and_failure(good_file, capsys):
     code, payload = run_json(capsys, ["run", good_file, "--script", "shuffle", "--json"])
     assert code == 0

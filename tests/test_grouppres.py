@@ -1,13 +1,16 @@
 """Group presentations: words, Tietze moves, quotient counting, and
 presentations read off diagrams."""
 
+import contextlib
 import itertools
+import signal
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kirby import grouppres, pdcode
+from kirby import corpus, grouppres, handlebody, pdcode
 from kirby.grouppres import GroupPresentation
 
 from test_pdcode import clasp, hopf, unknot
@@ -48,6 +51,168 @@ def count_homs_oracle(g: GroupPresentation, n: int) -> int:
         if all(eval_word_oracle(r, images, n) == idp for r in g.relators):
             total += 1
     return total
+
+
+# -- the loops that the searches replaced, kept as oracles -----------------
+
+
+def enumerate_homs_oracle(g: GroupPresentation, n: int, witnesses: bool = True):
+    """Every one of the |S_n|^rank assignments, in product order."""
+    elems, index, table, inverse, _ = grouppres._perm_table(n)
+    identity = index[tuple(range(n))]
+    order = len(elems)
+    total = surj = 0
+    found = []
+    for images in itertools.product(range(order), repeat=g.rank):
+        if any(
+            grouppres.evaluate_word(r, images, table, inverse, identity) != identity
+            for r in g.relators
+        ):
+            continue
+        total += 1
+        if grouppres._generates(images, table, identity, order):
+            surj += 1
+            if witnesses:
+                found.append(tuple(elems[i] for i in images))
+    return grouppres.QuotientCount(total, surj, tuple(found))
+
+
+def cyclic_equal_oracle(a, b) -> bool:
+    if len(a) != len(b):
+        return False
+    return any(grouppres.rotate_word(a, k) == b for k in range(max(len(a), 1)))
+
+
+def single_occurrence_oracle(r, g: int):
+    hits = [k for k, x in enumerate(r) if abs(x) == g]
+    return hits[0] if len(hits) == 1 else None
+
+
+def tietze_simplify_oracle(g: GroupPresentation, budget: int = 1000):
+    """The pairwise duplicate scan and the per-generator occurrence scan."""
+    apply_tietze, invert_word = grouppres.apply_tietze, grouppres.invert_word
+    Simplification = grouppres.Simplification
+    log = []
+    cur = GroupPresentation.make(g.generators, g.relators)
+    steps = 0
+
+    def spend() -> bool:
+        nonlocal steps
+        steps += 1
+        return steps <= budget
+
+    changed = True
+    while changed:
+        changed = False
+        rels = list(cur.relators)
+        for i in range(len(rels)):
+            r = rels[i]
+            if any(cyclic_equal_oracle(r, rels[j]) or cyclic_equal_oracle(r, invert_word(rels[j]))
+                   for j in range(i)):
+                if not any(cyclic_equal_oracle(r, rels[j]) for j in range(i)):
+                    if not spend():
+                        return Simplification(cur, tuple(log), True)
+                    log.append(("invert", i))
+                    cur = apply_tietze(cur, [("invert", i)])
+                if not spend():
+                    return Simplification(cur, tuple(log), True)
+                log.append(("remove", i))
+                cur = apply_tietze(cur, [("remove", i)])
+                changed = True
+                break
+        if changed:
+            continue
+
+        best = None
+        for i, r in enumerate(cur.relators):
+            for gen in range(1, cur.rank + 1):
+                if single_occurrence_oracle(r, gen) is not None:
+                    key = (len(r), i, gen)
+                    if best is None or key < best:
+                        best = key
+        if best is not None:
+            _, i, gen = best
+            if not spend():
+                return Simplification(cur, tuple(log), True)
+            log.append(("eliminate", gen, i))
+            cur = apply_tietze(cur, [("eliminate", gen, i)])
+            changed = True
+            continue
+
+        best = None
+        rels = cur.relators
+        for i, j in itertools.permutations(range(len(rels)), 2):
+            for inv in (0, 1):
+                rj = invert_word(rels[j]) if inv else rels[j]
+                for k in range(len(rj)):
+                    cand = grouppres.cyclic_reduce(
+                        grouppres.free_reduce(rels[i] + grouppres.rotate_word(rj, k))
+                    )
+                    gain = len(rels[i]) - len(cand)
+                    if gain > 0:
+                        key = (-gain, i, j, inv, k)
+                        if best is None or key < best:
+                            best = key
+        if best is not None:
+            _, i, j, inv, k = best
+            steps_needed = [("invert", j)] * inv + ([("rotate", j, k)] if k else []) + [("multiply", i, j)]
+            for step in steps_needed:
+                if not spend():
+                    return Simplification(cur, tuple(log), True)
+                log.append(step)
+                cur = apply_tietze(cur, [step])
+            changed = True
+    return Simplification(cur, tuple(log), False)
+
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def presentations(draw, max_rank=3, max_length=6):
+    """Random relators over at most three generators, with planted copies
+    of some of them, rotated and possibly inverted."""
+    rank = draw(st.integers(0, max_rank))
+    gens = tuple("xyz"[:rank])
+    if not rank:
+        return GroupPresentation.make(gens, ())
+    letter = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=max_length), max_size=3))
+    planted = []
+    for w in words:
+        if draw(st.booleans()):
+            copy = grouppres.rotate_word(tuple(w), draw(st.integers(0, len(w))))
+            planted.append(grouppres.invert_word(copy) if draw(st.booleans()) else copy)
+    return GroupPresentation.make(gens, draw(st.permutations([tuple(w) for w in words] + planted)))
+
+
+def corpus_presentations():
+    """The Wirtinger presentation (where the diagram has one) and the
+    handlebody group of every valid corpus diagram."""
+    out = []
+    for name, d in sorted(corpus.load_document().diagrams.items()):
+        if pdcode.validate(d):
+            continue
+        try:
+            out.append((f"{name}.wirtinger", grouppres.wirtinger(d)))
+        except grouppres.GroupError:
+            pass
+        out.append((f"{name}.pi1", handlebody.fundamental_group(handlebody.Handlebody(d))))
+    return out
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- words ------------------------------------------------------------------
@@ -142,6 +307,19 @@ def test_apply_tietze_rejects_illegal_steps():
         grouppres.apply_tietze(g, (("remove", 5),))
 
 
+@SEEDED
+@given(presentations(max_length=8), st.sampled_from((1, 2, 3, 1000)))
+def test_tietze_simplify_matches_pairwise_scans(g, budget):
+    assert grouppres.tietze_simplify(g, budget) == tietze_simplify_oracle(g, budget)
+
+
+def test_tietze_simplify_matches_pairwise_scans_on_corpus():
+    for name, g in corpus_presentations():
+        for budget in (1, 2, 3, 1000):
+            want = tietze_simplify_oracle(g, budget)
+            assert grouppres.tietze_simplify(g, budget) == want, (name, budget)
+
+
 # -- quotient counting ------------------------------------------------------
 
 
@@ -157,8 +335,47 @@ def test_enumerate_homs_matches_independent_oracle(rng):
             assert grouppres.enumerate_homs(g, n).total == count_homs_oracle(g, n)
 
 
+@SEEDED
+@given(presentations(), st.sampled_from((4, 3, 2, 1)))
+def test_enumerate_homs_matches_brute_force(g, n):
+    assert grouppres.enumerate_homs(g, n) == enumerate_homs_oracle(g, n)
+    assert grouppres.enumerate_homs(g, n, witnesses=False) == enumerate_homs_oracle(g, n, False)
+
+
+def test_enumerate_homs_matches_brute_force_on_corpus():
+    for name, g in corpus_presentations():
+        simplified = grouppres.tietze_simplify(g).presentation
+        for p, n in ((g, 3), (simplified, 3), (simplified, 4)):
+            assert grouppres.enumerate_homs(p, n) == enumerate_homs_oracle(p, n), (name, p, n)
+
+
+def test_perm_table_built_once_per_n():
+    grouppres._perm_table.cache_clear()
+    g = GroupPresentation.make(("x", "y"), ("x y x^-1 y^-1",))
+    for _ in range(3):
+        for n in (1, 2, 3, 4):
+            grouppres.enumerate_homs(g, n)
+    info = grouppres._perm_table.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    for n, partitions in zip(range(1, 6), (1, 2, 3, 5, 7)):
+        elems, _, _, _, classes = grouppres._perm_table(n)
+        assert len(classes) == partitions
+        assert sum(size for _, size in classes) == len(elems)
+
+
+def test_raw_wirtinger_counts_finish():
+    # brute force walked 24^5 and 120^7 assignments on these
+    for q, n, seconds in ((5, 4, 2), (7, 5, 5)):
+        g = grouppres.wirtinger(torus_knot(q))
+        with deadline(seconds):
+            raw = grouppres.enumerate_homs(g, n)
+        simplified = grouppres.enumerate_homs(grouppres.tietze_simplify(g).presentation, n)
+        assert (raw.total, raw.surjective) == (simplified.total, simplified.surjective)
+        assert (raw.total, raw.surjective) == ({4: 24, 5: 120}[n], 0)
+
+
 def test_evaluate_word_composition_order():
-    elems, index, table, inverse = grouppres._perm_table(3)
+    elems, index, table, inverse, _ = grouppres._perm_table(3)
     x = index[(1, 0, 2)]  # transposition (1 2)
     y = index[(0, 2, 1)]  # transposition (2 3)
     identity = index[(0, 1, 2)]
@@ -182,18 +399,24 @@ def test_wirtinger_unknot_and_hopf():
     assert str(h.abelianization()) == "Z^2"
 
 
-def test_wirtinger_trefoil_vs_unknot_quotients():
-    trefoil = pdcode.Diagram(
-        "trefoil",
+def torus_knot(q: int) -> pdcode.Diagram:
+    """The closure of a two-strand braid with q half-twists: the torus
+    knot T(2, q)."""
+    return pdcode.Diagram(
+        f"T{q}",
         components=(
             pdcode.Component("k", pdcode.FRAMED, 0, edges=("k1", "k2", "k3", "k4")),
         ),
         boxes=(
             pdcode.TwistBox(
-                "T", 3, strands=(pdcode.BoxStrand("k1", "k2"), pdcode.BoxStrand("k3", "k4"))
+                "T", q, strands=(pdcode.BoxStrand("k1", "k2"), pdcode.BoxStrand("k3", "k4"))
             ),
         ),
     )
+
+
+def test_wirtinger_trefoil_vs_unknot_quotients():
+    trefoil = torus_knot(3)
     assert pdcode.validate(trefoil) == []
     g = grouppres.wirtinger(trefoil)
     qc = grouppres.enumerate_homs(g, 3)

@@ -182,6 +182,26 @@ def test_check_sum_requires_trivial_pi1():
     assert any("fundamental group" in r for r in cert.reasons)
 
 
+def test_check_sum_names_an_exhausted_tietze_budget():
+    # pi1 = <m, n | m, n>: trivial after two eliminations
+    d = Diagram(
+        "twin",
+        (
+            Component("a", FRAMED, 1, edges=("a1",)),
+            Component("m", pdcode.DOTTED, through=(pdcode.Pass("a1"),)),
+            Component("b", FRAMED, 0, edges=("b1",)),
+            Component("n", pdcode.DOTTED, through=(pdcode.Pass("b1"),)),
+        ),
+    )
+    host = Handlebody(d)
+    s = capped_sphere(host, on="a")
+    assert surface.check_sum_well_defined(s, s, host, budget=2).granted
+    cert = surface.check_sum_well_defined(s, s, host, budget=1)
+    assert cert.reasons == (
+        "host fundamental group not certified trivial (Tietze budget of 1 steps ran out)",
+    )
+
+
 def test_cancel_sum_checks_certificates_and_classes():
     host = simply_connected_host()
     base = capped_sphere(host, on="c")
