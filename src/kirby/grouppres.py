@@ -215,55 +215,65 @@ class GroupPresentation:
 #   ("invert", i)          relator i := its inverse
 #   ("rotate", i, k)       relator i := cyclic rotation by k
 #   ("multiply", i, j)     relator i := reduce(relator_i * relator_j), i != j
-#   ("remove", i)          drop relator i (must be empty or a duplicate)
+#   ("remove", i)          drop relator i (must be a rotation of another)
 #   ("eliminate", g, i)    remove generator g using relator i, in which g
 #                          occurs exactly once; substitutes everywhere
+#
+# Relators are kept cyclically reduced and nonempty: a relator that a step
+# leaves empty is dropped right after that step, so every index refers to
+# the list as the step before left it.
 
 
 def apply_tietze(g: GroupPresentation, log) -> GroupPresentation:
-    """Replay a Tietze log, checking each step's legality."""
-    gens = list(g.generators)
-    rels = [cyclic_reduce(r) for r in g.relators]
+    """Replay a Tietze log, checking each step's legality.  Empty
+    relators of ``g`` are dropped before the first step."""
+    gens, rels = _working_lists(g)
+    for step in log:
+        _apply_step(gens, rels, step)
+    return GroupPresentation(tuple(gens), tuple(rels))
+
+
+def _working_lists(g: GroupPresentation) -> tuple[list[str], list[Word]]:
+    """The generators and the nonempty cyclically reduced relators of g,
+    as the lists that ``_apply_step`` edits."""
+    return list(g.generators), [w for w in map(cyclic_reduce, g.relators) if w]
+
+
+def _apply_step(gens: list[str], rels: list[Word], step) -> None:
+    """Check one Tietze step and apply it to the two lists in place."""
 
     def check(i: int) -> int:
         if not isinstance(i, int) or not 0 <= i < len(rels):
             raise GroupError(f"relator index {i!r} out of range")
         return i
 
-    for step in log:
-        op = step[0]
-        if op == "invert":
-            i = check(step[1])
-            rels[i] = invert_word(rels[i])
-        elif op == "rotate":
-            i, k = check(step[1]), step[2]
-            rels[i] = rotate_word(rels[i], k)
-        elif op == "multiply":
-            i, j = check(step[1]), check(step[2])
-            if i == j:
-                raise GroupError("cannot multiply a relator into itself")
-            rels[i] = cyclic_reduce(free_reduce(rels[i] + rels[j]))
-        elif op == "remove":
-            i = check(step[1])
-            r = cyclic_reduce(rels[i])
-            others = [cyclic_reduce(s) for k, s in enumerate(rels) if k != i]
-            if r and not any(_cyclic_equal(r, s) for s in others):
-                raise GroupError(f"relator {i} is neither empty nor redundant")
+    op = step[0]
+    if op == "invert":
+        i = check(step[1])
+        rels[i] = invert_word(rels[i])
+    elif op == "rotate":
+        i, k = check(step[1]), step[2]
+        rels[i] = rotate_word(rels[i], k)
+    elif op == "multiply":
+        i, j = check(step[1]), check(step[2])
+        if i == j:
+            raise GroupError("cannot multiply a relator into itself")
+        rels[i] = cyclic_reduce(rels[i] + rels[j])
+        if not rels[i]:
             del rels[i]
-        elif op == "eliminate":
-            gen_idx, i = step[1], check(step[2])
-            if not 1 <= gen_idx <= len(gens):
-                raise GroupError(f"generator index {gen_idx!r} out of range")
-            rels, gens = _eliminate(gens, rels, gen_idx, i)
-        else:
-            raise GroupError(f"unknown Tietze step {step!r}")
-    return GroupPresentation(tuple(gens), tuple(cyclic_reduce(r) for r in rels if cyclic_reduce(r)))
-
-
-def _cyclic_equal(a: Word, b: Word) -> bool:
-    if len(a) != len(b):
-        return False
-    return any(rotate_word(a, k) == b for k in range(max(len(a), 1)))
+    elif op == "remove":
+        i = check(step[1])
+        key = _least_rotation(rels[i])
+        if not any(_least_rotation(s) == key for k, s in enumerate(rels) if k != i):
+            raise GroupError(f"relator {i} is not redundant")
+        del rels[i]
+    elif op == "eliminate":
+        gen_idx, i = step[1], check(step[2])
+        if not 1 <= gen_idx <= len(gens):
+            raise GroupError(f"generator index {gen_idx!r} out of range")
+        _eliminate(gens, rels, gen_idx, i)
+    else:
+        raise GroupError(f"unknown Tietze step {step!r}")
 
 
 def _least_rotation(w: Word) -> Word:
@@ -272,19 +282,15 @@ def _least_rotation(w: Word) -> Word:
     return min((w[k:] + w[:k] for k in range(len(w))), default=w)
 
 
-def _single_occurrence(r: Word, g: int) -> int | None:
-    """Index of the unique occurrence of generator g (1-based) in r."""
-    hits = [k for k, x in enumerate(r) if abs(x) == g]
-    return hits[0] if len(hits) == 1 else None
-
-
-def _eliminate(gens, rels, gen_idx, i):
-    """Remove generator ``gen_idx`` (1-based) using relator i."""
+def _eliminate(gens: list[str], rels: list[Word], gen_idx: int, i: int) -> None:
+    """Remove generator ``gen_idx`` (1-based) using relator i, in which it
+    occurs exactly once, and substitute for it in the other relators."""
     r = rels[i]
-    k = _single_occurrence(r, gen_idx)
-    if k is None:
-        raise GroupError(f"generator occurs {sum(1 for x in r if abs(x) == gen_idx)} times in relator {i}")
+    hits = [k for k, x in enumerate(r) if abs(x) == gen_idx]
+    if len(hits) != 1:
+        raise GroupError(f"generator occurs {len(hits)} times in relator {i}")
     # r = u g^e v = 1  =>  g^e = u^-1 v^-1
+    k = hits[0]
     u, e, v = r[:k], r[k], r[k + 1:]
     repl = invert_word(u) + invert_word(v)
     if e < 0:
@@ -302,13 +308,8 @@ def _eliminate(gens, rels, gen_idx, i):
     def shift(w: Word) -> Word:
         return tuple(x - (1 if x > gen_idx else 0) if x > 0 else x + (1 if -x > gen_idx else 0) for x in w)
 
-    new_rels = [
-        cyclic_reduce(shift(substitute(s)))
-        for t, s in enumerate(rels)
-        if t != i
-    ]
-    new_gens = [g for t, g in enumerate(gens) if t != gen_idx - 1]
-    return new_rels, new_gens
+    del gens[gen_idx - 1], rels[i]
+    rels[:] = [w for w in (cyclic_reduce(shift(substitute(s))) for s in rels) if w]
 
 
 @dataclass(frozen=True)
@@ -322,90 +323,75 @@ def tietze_simplify(g: GroupPresentation, budget: int = 1000) -> Simplification:
     """Greedy deterministic simplification: drop redundant relators,
     eliminate generators with a single occurrence in some relator, and
     shorten relators against each other.  Every step is logged."""
+    gens, rels = _working_lists(g)
     log: list[tuple] = []
-    cur = GroupPresentation.make(g.generators, g.relators)
-    steps = 0
 
-    def spend() -> bool:
-        nonlocal steps
-        steps += 1
-        return steps <= budget
+    def result(exhausted: bool) -> Simplification:
+        return Simplification(GroupPresentation(tuple(gens), tuple(rels)), tuple(log), exhausted)
 
-    changed = True
-    while changed:
-        changed = False
+    while steps := _next_steps(rels):
+        for step in steps:
+            if len(log) >= budget:
+                return result(True)
+            log.append(step)
+            _apply_step(gens, rels, step)
+    return result(False)
 
-        # drop empty or duplicate relators (empties are gone already);
-        # relators are compared by their least rotation
-        seen: set[Word] = set()
-        seen_inverse: set[Word] = set()
-        for i, r in enumerate(cur.relators):
-            key = _least_rotation(r)
-            if key in seen or key in seen_inverse:
-                if key not in seen:
-                    # only an inverse duplicate: invert first so removal is legal
-                    if not spend():
-                        return Simplification(cur, tuple(log), True)
-                    log.append(("invert", i))
-                    cur = apply_tietze(cur, [("invert", i)])
-                if not spend():
-                    return Simplification(cur, tuple(log), True)
-                log.append(("remove", i))
-                cur = apply_tietze(cur, [("remove", i)])
-                changed = True
-                break
-            seen.add(key)
-            seen_inverse.add(_least_rotation(invert_word(r)))
-        if changed:
-            continue
 
-        # eliminate a generator occurring once in some relator; prefer the
-        # shortest relator, then lowest indices
-        best = None
-        for i, r in enumerate(cur.relators):
-            once = [gen for gen, k in Counter(abs(x) for x in r).items() if k == 1]
-            if once and (best is None or len(r) < best[0]):
-                best = (len(r), i, min(once))
-        if best is not None:
-            _, i, gen = best
-            if not spend():
-                return Simplification(cur, tuple(log), True)
-            log.append(("eliminate", gen, i))
-            cur = apply_tietze(cur, [("eliminate", gen, i)])
-            changed = True
-            continue
+def _next_steps(rels: list[Word]) -> list[tuple]:
+    """The steps of the next greedy move, or none when no move applies."""
+    # drop a duplicate relator, compared by least rotation; inverting
+    # first when it only duplicates the inverse of an earlier one
+    seen: set[Word] = set()
+    seen_inverse: set[Word] = set()
+    for i, r in enumerate(rels):
+        key = _least_rotation(r)
+        if key in seen:
+            return [("remove", i)]
+        if key in seen_inverse:
+            return [("invert", i), ("remove", i)]
+        seen.add(key)
+        seen_inverse.add(_least_rotation(invert_word(r)))
 
-        # shorten some relator by multiplying with a rotated (possibly
-        # inverted) other relator
-        best = None
-        rels = cur.relators
-        for i, j in itertools.permutations(range(len(rels)), 2):
-            for inv in (0, 1):
-                rj = invert_word(rels[j]) if inv else rels[j]
-                for k in range(len(rj)):
-                    cand = cyclic_reduce(free_reduce(rels[i] + rotate_word(rj, k)))
-                    gain = len(rels[i]) - len(cand)
-                    if gain > 0:
-                        key = (-gain, i, j, inv, k)
-                        if best is None or key < best:
-                            best = key
-        if best is not None:
-            _, i, j, inv, k = best
-            steps_needed = [("invert", j)] * inv + ([("rotate", j, k)] if k else []) + [("multiply", i, j)]
-            for st in steps_needed:
-                if not spend():
-                    return Simplification(cur, tuple(log), True)
-                log.append(st)
-                cur = apply_tietze(cur, [st])
-            changed = True
-    return Simplification(cur, tuple(log), False)
+    # eliminate a generator occurring once in some relator; prefer the
+    # shortest relator, then lowest indices
+    best = None
+    for i, r in enumerate(rels):
+        once = [gen for gen, k in Counter(abs(x) for x in r).items() if k == 1]
+        if once and (best is None or len(r) < best[0]):
+            best = (len(r), i, min(once))
+    if best is not None:
+        _, i, gen = best
+        return [("eliminate", gen, i)]
+
+    # shorten some relator by multiplying with a rotated (possibly
+    # inverted) other relator
+    best = None
+    for i, j in itertools.permutations(range(len(rels)), 2):
+        for inv in (0, 1):
+            rj = invert_word(rels[j]) if inv else rels[j]
+            for k in range(len(rj)):
+                gain = len(rels[i]) - len(cyclic_reduce(rels[i] + rotate_word(rj, k)))
+                if gain > 0:
+                    key = (-gain, i, j, inv, k)
+                    if best is None or key < best:
+                        best = key
+    if best is None:
+        return []
+    _, i, j, inv, k = best
+    return [("invert", j)] * inv + ([("rotate", j, k)] if k else []) + [("multiply", i, j)]
 
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
+    """The two simplification logs, and the relabelling that matches the
+    simplified relators: p1's i-th generator maps to the second name of
+    ``generator_map[i]`` raised to ``generator_signs[i]``."""
+
     log1: tuple
     log2: tuple
     generator_map: tuple[tuple[str, str], ...]
+    generator_signs: tuple[int, ...] = ()
 
 
 def tietze_equivalent(
@@ -419,39 +405,20 @@ def tietze_equivalent(
     p1, p2 = s1.presentation, s2.presentation
     if p1.rank != p2.rank or len(p1.relators) != len(p2.relators):
         return None
+
+    def class_key(w: Word) -> Word:
+        # one key for all rotations of w and of its inverse
+        return min(_least_rotation(w), _least_rotation(invert_word(w)))
+
+    want = Counter(map(class_key, p2.relators))
     n = p1.rank
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
-            def remap(w: Word) -> Word:
-                out = []
-                for x in w:
-                    g = perm[abs(x) - 1] + 1
-                    s = signs[abs(x) - 1] * (1 if x > 0 else -1)
-                    out.append(s * g)
-                return cyclic_reduce(tuple(out))
-
-            mapped = [remap(r) for r in p1.relators]
-            used = [False] * len(p2.relators)
-            ok = True
-            for r in mapped:
-                hit = next(
-                    (
-                        j
-                        for j, s in enumerate(p2.relators)
-                        if not used[j]
-                        and (_cyclic_equal(r, s) or _cyclic_equal(invert_word(r), s))
-                    ),
-                    None,
-                )
-                if hit is None:
-                    ok = False
-                    break
-                used[hit] = True
-            if ok:
-                gmap = tuple(
-                    (p1.generators[i], p2.generators[perm[i]]) for i in range(n)
-                )
-                return EquivalenceCertificate(s1.log, s2.log, gmap)
+            image = {i + 1: signs[i] * (perm[i] + 1) for i in range(n)}
+            image.update({-a: -b for a, b in image.items()})
+            if Counter(class_key(tuple(image[x] for x in r)) for r in p1.relators) == want:
+                gmap = tuple((p1.generators[i], p2.generators[perm[i]]) for i in range(n))
+                return EquivalenceCertificate(s1.log, s2.log, gmap, signs)
     return None
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from . import handlebody as hb
 from . import pdcode
 from . import surface as sf
-from .dsl import MoveScript, Step
+from .dsl import MoveScript, Step, _sign
 from .handlebody import Handlebody
 from .surface import SurfacePresentation
 
@@ -160,14 +160,13 @@ class Engine:
         pos = list(args.pop("_args", ()))
         i = step.index
 
-        def sign_of(v, default=1):
-            if v in ("+", 1):
-                return 1
-            if v in ("-", -1):
-                return -1
+        def sign_of(v):
             if v is None:
-                return default
-            raise ScriptError(f"bad sign {v!r}", i)
+                return 1
+            sign = _sign(v)
+            if sign is None:
+                raise ScriptError(f"bad sign {v!r}", i)
+            return sign
 
         try:
             if op == "blowdown":
@@ -385,13 +384,25 @@ class Engine:
         i = step.index
         checked = []
         for key, want in args.items():
-            got = self._measure(key, want, i)
+            if key == "pi1_trivial":
+                got, note = self._pi1_trivial()
+            else:
+                got, note = self._measure(key, want, i), ""
             if got != want:
                 raise ScriptError(
-                    f"assertion {key} failed: expected {want!r}, got {got!r}", i
+                    f"assertion {key} failed: expected {want!r}, got {got!r}{note}", i
                 )
             checked.append(key)
         return "asserted " + ", ".join(checked)
+
+    def _pi1_trivial(self) -> tuple[bool, str]:
+        """Whether Tietze simplification reaches the trivial group, and a
+        note for a failed assertion when the budget ran out first."""
+        from . import grouppres
+
+        simp = grouppres.tietze_simplify(hb.fundamental_group(self.state), self.budget)
+        note = f" (Tietze budget of {self.budget} steps ran out)" if simp.budget_exhausted else ""
+        return simp.presentation.is_obviously_trivial(), note
 
     def _measure(self, key: str, want, index: int):
         if key == "boundary_h1":
@@ -409,13 +420,6 @@ class Engine:
                 return [list(r) for r in hb.intersection_form(self.state).matrix]
             except hb.HandlebodyError:
                 return "none"
-        if key == "pi1_trivial":
-            from . import grouppres
-
-            simp = grouppres.tietze_simplify(
-                hb.fundamental_group(self.state), self.budget
-            )
-            return simp.presentation.is_obviously_trivial()
         if key == "chi":
             return sf.euler_characteristic(self._require_surface(index))
         if key == "self_intersection":

@@ -98,6 +98,18 @@ def test_pi1_reports_tietze_budget_exhaustion(tmp_path, monkeypatch, capsys):
     assert (payload["twin"]["trivial"], payload["twin"]["budget_exhausted"]) == (False, True)
 
 
+def test_pi1_trivial_assertion_names_an_exhausted_budget(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "twin.kd"
+    p.write_text(TWIN + "script trivial on twin { assert pi1_trivial=true; }\n")
+    argv = ["run", str(p), "--script", "trivial"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("KIRBY_BUDGET", "1")
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "expected True, got False (Tietze budget of 1 steps ran out)" in out
+
+
 def test_run_script_success_and_failure(good_file, capsys):
     code, payload = run_json(capsys, ["run", good_file, "--script", "shuffle", "--json"])
     assert code == 0

@@ -165,6 +165,48 @@ def tietze_simplify_oracle(g: GroupPresentation, budget: int = 1000):
     return Simplification(cur, tuple(log), False)
 
 
+def tietze_equivalent_oracle(g1: GroupPresentation, g2: GroupPresentation, budget: int = 1000):
+    """The greedy pairwise matching over every signed relabelling."""
+    s1 = grouppres.tietze_simplify(g1, budget)
+    s2 = grouppres.tietze_simplify(g2, budget)
+    p1, p2 = s1.presentation, s2.presentation
+    if p1.rank != p2.rank or len(p1.relators) != len(p2.relators):
+        return None
+    n = p1.rank
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            def remap(w):
+                out = []
+                for x in w:
+                    g = perm[abs(x) - 1] + 1
+                    s = signs[abs(x) - 1] * (1 if x > 0 else -1)
+                    out.append(s * g)
+                return grouppres.cyclic_reduce(tuple(out))
+
+            mapped = [remap(r) for r in p1.relators]
+            used = [False] * len(p2.relators)
+            ok = True
+            for r in mapped:
+                hit = next(
+                    (
+                        j
+                        for j, s in enumerate(p2.relators)
+                        if not used[j]
+                        and (cyclic_equal_oracle(r, s)
+                             or cyclic_equal_oracle(grouppres.invert_word(r), s))
+                    ),
+                    None,
+                )
+                if hit is None:
+                    ok = False
+                    break
+                used[hit] = True
+            if ok:
+                gmap = tuple((p1.generators[i], p2.generators[perm[i]]) for i in range(n))
+                return grouppres.EquivalenceCertificate(s1.log, s2.log, gmap, signs)
+    return None
+
+
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
@@ -318,6 +360,101 @@ def test_tietze_simplify_matches_pairwise_scans_on_corpus():
         for budget in (1, 2, 3, 1000):
             want = tietze_simplify_oracle(g, budget)
             assert grouppres.tietze_simplify(g, budget) == want, (name, budget)
+
+
+@SEEDED
+@given(presentations(max_length=8), st.sampled_from((1, 2, 3, 1000)))
+def test_simplification_log_replays(g, budget):
+    simp = grouppres.tietze_simplify(g, budget)
+    assert grouppres.apply_tietze(g, simp.log) == simp.presentation
+
+
+def test_log_replays_after_a_step_empties_a_relator():
+    # the first elimination turns "a b^-1 a b^-1" into the empty word, so
+    # the second step indexes the list without it
+    g = GroupPresentation.make(("a", "b", "c"), ("a b^-1", "a b^-1 a b^-1", "c b c"))
+    simp = grouppres.tietze_simplify(g)
+    assert simp.log == (("eliminate", 1, 0), ("eliminate", 1, 0))
+    assert grouppres.apply_tietze(g, simp.log) == simp.presentation
+    assert simp.presentation == GroupPresentation(("c",), ())
+
+
+def test_empty_relators_are_dropped_before_the_first_step():
+    raw = GroupPresentation(("a", "b"), ((), (1, -2), (1,), ()))
+    reduced = GroupPresentation(("a", "b"), ((1, -2), (1,)))
+    assert grouppres.apply_tietze(raw, ()) == reduced
+    simp = grouppres.tietze_simplify(raw)
+    assert simp == grouppres.tietze_simplify(reduced)
+    assert grouppres.apply_tietze(raw, simp.log) == simp.presentation
+    # an empty relator is gone, so it is no longer there to remove
+    with pytest.raises(grouppres.GroupError, match="not redundant"):
+        grouppres.apply_tietze(raw, (("remove", 0),))
+
+
+def relabelled_matches(cert, p1: GroupPresentation, p2: GroupPresentation) -> bool:
+    """p1's relators, renamed and signed by the certificate, equal p2's up
+    to order, rotation and inversion."""
+    target = {name: i + 1 for i, name in enumerate(p2.generators)}
+    image = [sign * target[name] for (_, name), sign in zip(cert.generator_map, cert.generator_signs)]
+
+    def forms(w):
+        return min(grouppres.rotate_word(v, k) for v in (w, grouppres.invert_word(w))
+                   for k in range(max(len(v), 1)))
+
+    mapped = [tuple(image[abs(x) - 1] * (1 if x > 0 else -1) for x in r) for r in p1.relators]
+    return sorted(map(forms, mapped)) == sorted(map(forms, p2.relators))
+
+
+def test_certificate_records_generator_signs():
+    g1 = GroupPresentation.make(("x", "y"), ("x y x^-1 y^-1 x^-1 y^-1",))
+    g2 = GroupPresentation.make(("u", "v"), ("u^-1 v u v^-1 u v^-1",))
+    cert = grouppres.tietze_equivalent(g1, g2)
+    assert cert.generator_map == (("x", "u"), ("y", "v"))
+    assert cert.generator_signs == (-1, 1)
+    p1 = grouppres.apply_tietze(g1, cert.log1)
+    p2 = grouppres.apply_tietze(g2, cert.log2)
+    assert relabelled_matches(cert, p1, p2)
+    unsigned = grouppres.EquivalenceCertificate(cert.log1, cert.log2, cert.generator_map, (1, 1))
+    assert not relabelled_matches(unsigned, p1, p2)
+
+
+@st.composite
+def disguised_pairs(draw):
+    """A presentation and a copy with renamed, signed and permuted
+    generators, and rotated, inverted and shuffled relators."""
+    g = draw(presentations(max_length=8))
+    n = g.rank
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    copies = []
+    for r in g.relators:
+        w = tuple(signs[abs(x) - 1] * (perm[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in r)
+        w = grouppres.rotate_word(w, draw(st.integers(0, len(w))))
+        copies.append(grouppres.invert_word(w) if draw(st.booleans()) else w)
+    return g, GroupPresentation.make(tuple("uvw"[:n]), draw(st.permutations(copies)))
+
+
+@SEEDED
+@given(disguised_pairs(), st.sampled_from((3, 1000)))
+def test_tietze_equivalent_matches_greedy_matching(pair, budget):
+    g1, g2 = pair
+    cert = grouppres.tietze_equivalent(g1, g2, budget)
+    assert cert == tietze_equivalent_oracle(g1, g2, budget)
+    if cert is not None:
+        p1 = grouppres.apply_tietze(g1, cert.log1)
+        p2 = grouppres.apply_tietze(g2, cert.log2)
+        assert relabelled_matches(cert, p1, p2)
+
+
+def test_tietze_equivalent_matches_greedy_matching_on_torus_knots():
+    for q in (3, 5, 7, 9):
+        knot, mirror = grouppres.wirtinger(torus_knot(q)), grouppres.wirtinger(torus_knot(-q))
+        cert = grouppres.tietze_equivalent(knot, mirror)
+        assert cert is not None
+        assert cert == tietze_equivalent_oracle(knot, mirror), q
+        p1 = grouppres.apply_tietze(knot, cert.log1)
+        p2 = grouppres.apply_tietze(mirror, cert.log2)
+        assert relabelled_matches(cert, p1, p2)
 
 
 # -- quotient counting ------------------------------------------------------

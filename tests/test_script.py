@@ -288,3 +288,24 @@ def test_track_on_unknown_handle_fails_the_step():
     assert [s.ok for s in report.steps] == [False]
     assert "unknown 2-handle 'nope'" in report.steps[0].detail
     assert report.surface is None
+
+
+# -- step signs ------------------------------------------------------------
+
+
+def test_step_signs_refuse_booleans():
+    # true == 1 in Python, but it is no sign
+    for steps in (
+        "slide a over b sign=true;",
+        "blowup true;",
+        "blowup sign=true;",
+        "track sphere on=a; surface_slide a over b sign=true;",
+        "track sphere on=a; split_tube a sign=true;",
+    ):
+        report = run_text(TWO_SPHERES + f"script s on pair {{ {steps} }}")
+        assert not report.ok, steps
+        bad = report.steps[-1]
+        assert bad.detail == f"step {bad.index}: bad sign True", steps
+    for steps in ("slide a over b;", "slide a over b sign=-;", "slide a over b sign=-1;", "blowup +;"):
+        report = run_text(TWO_SPHERES + f"script s on pair {{ {steps} }}")
+        assert report.ok, (steps, report.steps[-1].detail)
