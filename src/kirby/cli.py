@@ -25,7 +25,7 @@ import sys
 from . import corpus, dsl, grouppres, pdcode
 from . import handlebody as hb
 from .handlebody import Handlebody
-from .script import ScriptError, default_budget, run as run_script
+from .script import ScriptError, default_budget
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -168,11 +168,7 @@ def cmd_run(args) -> int:
     ms = doc.scripts[args.script]
     if ms.target not in doc.diagrams:
         raise InputError(f"script target {ms.target!r} not in input")
-
-    def resolve(n):
-        return Handlebody(doc.diagrams[n]) if n in doc.diagrams else None
-
-    rep = run_script(ms, Handlebody(doc.diagrams[ms.target]), resolve=resolve)
+    rep = corpus.run_script(doc, args.script)
     payload = corpus.script_report_dict(rep)
     lines = [f"script {rep.script!r} on {rep.target!r}"]
     for sr in rep.steps:

@@ -15,7 +15,7 @@ is replayed move by move.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from . import dsl, forms, grouppres, pdcode, script
@@ -132,24 +132,7 @@ def _sheet_surface_case(doc: dsl.Document, name: str) -> dict:
 
 
 def script_report_dict(rep: script.ScriptReport) -> dict:
-    return {
-        "script": rep.script,
-        "target": rep.target,
-        "ok": rep.ok,
-        "steps": [
-            {
-                "index": sr.index,
-                "op": sr.op,
-                "ok": sr.ok,
-                "flag": sr.flag,
-                "detail": sr.detail,
-                "boundary_h1": sr.boundary_h1,
-            }
-            for sr in rep.steps
-        ],
-        "final": rep.final,
-        "surface": rep.surface,
-    }
+    return asdict(rep)
 
 
 def run_script(doc: dsl.Document, name: str) -> script.ScriptReport:

@@ -239,15 +239,25 @@ def _working_lists(g: GroupPresentation) -> tuple[list[str], list[Word]]:
     return list(g.generators), [w for w in map(cyclic_reduce, g.relators) if w]
 
 
+# the number of integer arguments of each Tietze step
+_STEP_ARITY = {"invert": 1, "rotate": 2, "multiply": 2, "remove": 1, "eliminate": 2}
+
+
 def _apply_step(gens: list[str], rels: list[Word], step) -> None:
     """Check one Tietze step and apply it to the two lists in place."""
+    if not (isinstance(step, tuple) and step and isinstance(step[0], str)):
+        raise GroupError(f"malformed Tietze step {step!r}")
+    op = step[0]
+    if op not in _STEP_ARITY:
+        raise GroupError(f"unknown Tietze step {step!r}")
+    if len(step) != 1 + _STEP_ARITY[op] or any(type(a) is not int for a in step[1:]):
+        raise GroupError(f"Tietze step {step!r}: {op} takes {_STEP_ARITY[op]} integer arguments")
 
     def check(i: int) -> int:
-        if not isinstance(i, int) or not 0 <= i < len(rels):
+        if not 0 <= i < len(rels):
             raise GroupError(f"relator index {i!r} out of range")
         return i
 
-    op = step[0]
     if op == "invert":
         i = check(step[1])
         rels[i] = invert_word(rels[i])
@@ -272,8 +282,6 @@ def _apply_step(gens: list[str], rels: list[Word], step) -> None:
         if not 1 <= gen_idx <= len(gens):
             raise GroupError(f"generator index {gen_idx!r} out of range")
         _eliminate(gens, rels, gen_idx, i)
-    else:
-        raise GroupError(f"unknown Tietze step {step!r}")
 
 
 def _least_rotation(w: Word) -> Word:

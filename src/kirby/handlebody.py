@@ -30,7 +30,6 @@ from .pdcode import (
     Component,
     Crossing,
     Diagram,
-    DiagramError,
     Pass,
     SymmetryMarking,
     TwistBox,
@@ -340,74 +339,32 @@ def slide(h: Handlebody, a: str, c: str, sign: int = 1) -> Handlebody:
     return h.with_diagram(_model_to_diagram(m, d.name))
 
 
-def _rename_head(d: Diagram, old: str, new: str, inc) -> Diagram:
-    """Point the vertex at ``old``'s head to ``new`` after a split."""
-    head = inc.ends.get(old, (None, None))[1]
-    if head is None:
-        return d
-    vid, slot = head
-    for i, x in enumerate(d.crossings):
-        if x.id == vid:
-            edges = list(x.edges)
-            if edges[slot] != old:
-                raise HandlebodyError(f"crossing {vid}: slot bookkeeping failed")
-            edges[slot] = new
-            crossings = list(d.crossings)
-            crossings[i] = replace(x, edges=tuple(edges))
-            return replace(d, crossings=tuple(crossings))
-    for i, b in enumerate(d.boxes):
-        if b.id == vid:
-            k = len(b.strands)
-            if slot < k:
-                row, side = slot, "left"
-            elif b.halftwists % 2:
-                row, side = slot - k, "right"
-            else:
-                row, side = 2 * k - 1 - slot, "right"
-            s = b.strands[row]
-            s = replace(s, left=new) if side == "left" else replace(s, right=new)
-            strands = list(b.strands)
-            strands[row] = s
-            boxes = list(d.boxes)
-            boxes[i] = replace(b, strands=tuple(strands))
-            return replace(d, boxes=tuple(boxes))
-    return d
-
-
 def _insert_twist_box(d: Diagram, passes, halftwists: int) -> Diagram:
-    """Split each passing edge and thread it through a new twist box.
+    """Cut the edge of each pass at that pass and thread the two pieces
+    through a new twist box.
 
-    ``passes`` is a sequence of (edge, sign); a negative sign means the
-    strand runs through the box against the left-to-right direction.
+    ``passes`` are the ``Pass`` records of a sphere's disk; a negative sign
+    means the strand runs through the box against the left-to-right
+    direction, so the disk lies on the box's left either way.  The passes
+    that come later on a cut edge move to its new piece.
     """
-    try:
-        inc = pdcode.resolve_incidence(d)
-    except DiagramError:
-        inc = None
-    strands = []
-    renames = []
     fresh = d.fresh_edges(len(passes))
-    for (edge, sign), new in zip(passes, fresh):
-        if sign > 0:
-            strands.append(pdcode.BoxStrand(edge, new, orient=1))
-        else:
-            strands.append(pdcode.BoxStrand(new, edge, orient=-1))
-        renames.append((edge, new))
-    box = TwistBox(d.fresh_id("tb"), halftwists, tuple(strands))
-    if inc is not None:
-        for old, new in renames:
-            d = _rename_head(d, old, new, inc)
+    strands = tuple(
+        pdcode.BoxStrand(p.edge, new, 1) if p.sign > 0 else pdcode.BoxStrand(new, p.edge, -1)
+        for p, new in zip(passes, fresh)
+    )
+    box = TwistBox(d.fresh_id("tb"), halftwists, strands)
+    d = pdcode._split_edges(d, {p.edge: [p.edge, new] for p, new in zip(passes, fresh)})
+    cut = {p.edge: (p.seq, new) for p, new in zip(passes, fresh)}
+
+    def moved(q: Pass) -> Pass:
+        seq, new = cut.get(q.edge, (q.seq, q.edge))
+        return replace(q, edge=new) if q.seq > seq else q
+
     comps = []
     for c in d.components:
-        if any(old in c.edges for old, _ in renames):
-            cycle = []
-            for e in c.edges:
-                cycle.append(e)
-                for old, new in renames:
-                    if e == old:
-                        cycle.append(new)
-            c = replace(c, edges=tuple(cycle))
-        comps.append(c)
+        through = tuple(map(moved, c.through))
+        comps.append(c if through == c.through else replace(c, through=through))
     return replace(d, components=tuple(comps), boxes=d.boxes + (box,))
 
 
@@ -441,16 +398,29 @@ def blowup(h: Handlebody, sign: int, through=()) -> Handlebody:
     if len({e for e, _ in through}) != len(through):
         raise HandlebodyError("blowup with repeated through-edges is unsupported")
     uid = d.fresh_id("u")
-    passes = tuple(Pass(e, s, i) for i, (e, s) in enumerate(through))
+    # the new sphere's passes come after those already on their edges, and
+    # the box right after them
+    last: dict[str, int] = {}
+    for c in d.components:
+        for p in c.through:
+            last[p.edge] = max(last.get(p.edge, -1), p.seq)
+    passes = [Pass(e, s, last.get(e, -1) + 1) for e, s in through]
     comps = []
     for c in d.components:
         if c.id in counts and c.framing is not None:
             c = replace(c, framing=c.framing + sign * counts[c.id] ** 2)
         comps.append(c)
-    comps.append(Component(uid, pdcode.FRAMED, framing=sign, through=passes))
     d2 = replace(d, components=tuple(comps))
-    if through:
-        d2 = _insert_twist_box(d2, through, 2 * sign)
+    if passes:
+        d2 = _insert_twist_box(d2, passes, 2 * sign)
+        # a strand running right to left meets the sphere on its new piece
+        passes = [
+            p if p.sign > 0 else Pass(s.left, p.sign, 0)
+            for p, s in zip(passes, d2.boxes[-1].strands)
+        ]
+    d2 = replace(d2, components=d2.components + (
+        Component(uid, pdcode.FRAMED, framing=sign, through=tuple(passes)),
+    ))
     return h.with_diagram(d2)
 
 
@@ -469,9 +439,7 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
     if not cu.is_round:
         # a free loop (single edge meeting no vertex and carrying no
         # passes) is an unknot diagram too
-        used = {e for x in d.crossings if x.is_geometric for e in x.edges}
-        used |= {e for b in d.boxes for s in b.strands for e in (s.left, s.right)}
-        if not (cu.is_loop and cu.edges[0] not in used):
+        if not (cu.is_loop and cu.edges[0] not in pdcode._slot_counts(d)):
             raise HandlebodyError(f"component {u} is not round-encoded")
         if any(p.edge == cu.edges[0] for c in d.components for p in c.through):
             raise HandlebodyError(
@@ -503,7 +471,7 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
         comps.append(c)
     d2 = replace(d, components=tuple(comps))
     if cu.through:
-        d2 = _insert_twist_box(d2, [(p.edge, p.sign) for p in cu.through], -2 * eps)
+        d2 = _insert_twist_box(d2, cu.through, -2 * eps)
     return h.with_diagram(d2)
 
 

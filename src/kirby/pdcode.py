@@ -194,8 +194,9 @@ class SymmetryMarking:
 class Incidence:
     """Resolved planar structure: where each edge starts and ends."""
 
-    # edge -> ((vertex_id, slot) of tail, (vertex_id, slot) of head)
-    ends: dict[str, tuple[tuple[str, int], tuple[str, int]]]
+    # edge -> ((vertex_id, slot) of tail, (vertex_id, slot) of head); an
+    # end at a weld is None
+    ends: dict[str, tuple[tuple[str, int] | None, tuple[str, int] | None]]
     # vertex -> list of edge ids in cyclic slot order
     rotation: dict[str, list[str]]
     # (vertex, strand index) -> (in_edge, out_edge); strand index 0/1 for
@@ -208,27 +209,26 @@ def resolve_incidence(d: Diagram) -> Incidence:
     component cycles.  Raises DiagramError when the cycles and vertex data
     cannot be reconciled.
 
+    A consecutive pair of edges that meets at no vertex is a weld (see
+    ``normalize``): the two edge ends there get no slot, ``None`` in
+    ``ends``, and an edge meeting no vertex at all has no entry.
+
     When the same unordered edge pair meets at several vertices the
     assignment of cycle steps to vertices is ambiguous; the resolver then
     prefers an assignment under which every declared crossing sign matches
     the planar handedness.
     """
-    base = _resolve_once(d, {})
-    mismatched = _sign_mismatches(d, base)
-    if not mismatched:
+    rotation, pairings = _collect_pairings(d)
+    base = _resolve_once(d, rotation, pairings, {})
+    if not _sign_mismatches(d, base):
         return base
-    ambiguous = [k for k, v in _collect_pairings(d)[1].items() if len(v) > 1]
+    ambiguous = [k for k, v in pairings.items() if len(v) > 1]
     if not ambiguous:
         return base
-    orders = [list(itertools.permutations(range(len(v))))
-              for v in (_collect_pairings(d)[1][k] for k in ambiguous)]
-    tried = 0
-    for combo in itertools.product(*orders):
-        tried += 1
-        if tried > 64:
-            break
+    orders = [list(itertools.permutations(range(len(pairings[k])))) for k in ambiguous]
+    for combo in itertools.islice(itertools.product(*orders), 64):
         try:
-            cand = _resolve_once(d, dict(zip(ambiguous, combo)))
+            cand = _resolve_once(d, rotation, pairings, dict(zip(ambiguous, combo)))
         except DiagramError:
             continue
         if not _sign_mismatches(d, cand):
@@ -249,12 +249,22 @@ def _sign_mismatches(d: Diagram, inc: Incidence) -> list[str]:
     return bad
 
 
+def _box_layout(b: TwistBox) -> list[tuple[int, str]]:
+    """The (row, side) at each slot of box b, in rotation order: the left
+    side top to bottom, then the right side bottom to top.  An odd number
+    of half twists reverses the rows on the right, so the strand entering
+    in row r exits in row k-1-r."""
+    rows = range(len(b.strands))
+    right = rows if b.halftwists % 2 else reversed(rows)
+    return [(r, "left") for r in rows] + [(r, "right") for r in right]
+
+
 def _collect_pairings(d: Diagram):
     """Rotation system plus, per unordered adjacent edge pair, the vertex
     incidences that can realize it."""
     rotation: dict[str, list[str]] = {}
-    # unordered adjacent pair -> list of (vertex, strand, slot_a, slot_b)
-    pairings: dict[frozenset, list[tuple[str, int, int, int]]] = {}
+    # unordered adjacent pair -> list of (vertex, strand, slot_a, slot_b, in edge)
+    pairings: dict[frozenset, list[tuple[str, int, int, int, str | None]]] = {}
 
     for x in d.crossings:
         if not x.is_geometric:
@@ -267,20 +277,12 @@ def _collect_pairings(d: Diagram):
             slot_a = strand  # slots strand, strand+2
             pairings.setdefault(key, []).append((x.id, strand, slot_a, slot_a + 2, None))
     for b in d.boxes:
-        k = len(b.strands)
-        lefts = [s.left for s in b.strands]
-        rights = [s.right for s in b.strands]
-        if b.halftwists % 2 == 0:
-            right_order = rights
-        else:
-            right_order = list(reversed(rights))
-        rotation[b.id] = lefts + list(reversed(right_order))
+        layout = _box_layout(b)
+        rotation[b.id] = [getattr(b.strands[row], side) for row, side in layout]
+        slot = {cell: i for i, cell in enumerate(layout)}
         for row, s in enumerate(b.strands):
             key = frozenset((s.left, s.right))
-            slot_l = row
-            # rotation lists the right side bottom-to-top; with an odd twist
-            # count the strand in row r exits in row k-1-r
-            slot_r = len(lefts) + (row if b.halftwists % 2 else k - 1 - row)
+            slot_l, slot_r = slot[(row, "left")], slot[(row, "right")]
             if s.orient == -1 and s.left == s.right:
                 # the edge leaves the box on the left and returns on the right
                 slot_l, slot_r = slot_r, slot_l
@@ -289,33 +291,26 @@ def _collect_pairings(d: Diagram):
     return rotation, pairings
 
 
-def _resolve_once(d: Diagram, pool_orders: dict) -> Incidence:
-    rotation, pairings = _collect_pairings(d)
-    ends: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {}
+def _resolve_once(d: Diagram, rotation, pairings, pool_orders: dict) -> Incidence:
     flow: dict[tuple[str, int], tuple[str, str]] = {}
-    tails: dict[str, tuple[str, int]] = {}
-    heads: dict[str, tuple[str, int]] = {}
+    tails: dict[str, tuple[str, int] | None] = {}
+    heads: dict[str, tuple[str, int] | None] = {}
 
     remaining = {
         k: [v[i] for i in pool_orders[k]] if k in pool_orders else list(v)
         for k, v in pairings.items()
     }
     for c in d.components:
-        if c.is_round:
-            continue
         n = len(c.edges)
-        if n == 1 and not any(c.edges[0] in k for k in pairings):
-            continue  # free loop
         for i in range(n):
             e, f = c.edges[i], c.edges[(i + 1) % n]
-            key = frozenset((e, f))
-            if not remaining.get(key):
-                raise DiagramError(
-                    f"component {c.id}: edges {e},{f} are consecutive but meet "
-                    "at no vertex"
-                )
+            if e in heads or f in tails:
+                raise DiagramError(f"edge {e}: oriented through vertices twice")
+            pool = remaining.get(frozenset((e, f)))
+            if not pool:
+                heads[e] = tails[f] = None  # a weld
+                continue
             # prefer a pairing whose declared direction matches the traversal
-            pool = remaining[key]
             pick = next(
                 (idx for idx, p in enumerate(pool) if p[4] == e),
                 next((idx for idx, p in enumerate(pool) if p[4] is None), 0),
@@ -327,18 +322,18 @@ def _resolve_once(d: Diagram, pool_orders: dict) -> Incidence:
                     slot_e, slot_f = slot_f, slot_e
                 if rot[slot_e] != e or rot[slot_f] != f:
                     raise DiagramError(f"vertex {vid}: slot bookkeeping failed")
-            if e in heads or f in tails:
-                raise DiagramError(f"edge {e}: oriented through vertices twice")
             heads[e] = (vid, slot_e)
             tails[f] = (vid, slot_f)
             flow[(vid, strand)] = (e, f)
     leftovers = [k for k, v in remaining.items() if v]
     if leftovers:
         raise DiagramError(f"unused vertex pairings: {sorted(map(sorted, leftovers))}")
+    ends = {}
     for e in set(tails) | set(heads):
         if e not in tails or e not in heads:
             raise DiagramError(f"edge {e}: inconsistent orientation through vertices")
-        ends[e] = (tails[e], heads[e])
+        if tails[e] or heads[e]:
+            ends[e] = (tails[e], heads[e])
     return Incidence(ends=ends, rotation=rotation, flow=flow)
 
 
@@ -471,19 +466,41 @@ def normalize(d: Diagram) -> Diagram:
                     needed[key] = needed.get(key, 0) + 1
             for key in sorted(needed, key=sorted):
                 if needed[key] > counts.get(key, 0):
-                    weld = (c.id, *sorted(key))
+                    weld = sorted(key)
                     break
             if weld:
                 break
         if weld is None:
             return d
-        cid, keep, drop = weld
-        c = d.component(cid)
-        edges = tuple(e for e in c.edges if e != drop)
-        comps = tuple(
-            replace(x, edges=edges) if x.id == cid else x for x in d.components
-        )
-        d = _rename_edge(replace(d, components=comps), drop, keep)
+        d = _fuse(d, *weld)
+
+
+def _fuse(d: Diagram, keep: str, drop: str) -> Diagram:
+    """Join edge ``drop`` onto its neighbour ``keep`` in their component
+    cycle: drop it from the cycle and rename it everywhere.  The passes on
+    the joined edge are renumbered in their order along the cycle: those of
+    whichever edge comes first, then the other's, each by its old key."""
+    comps = [
+        replace(c, edges=tuple(e for e in c.edges if e != drop)) if drop in c.edges else c
+        for c in d.components
+    ]
+    joined = [
+        (ci, pi, p)
+        for ci, c in enumerate(d.components)
+        for pi, p in enumerate(c.through)
+        if p.edge == keep or p.edge == drop
+    ]
+    if joined:
+        edges = next(c.edges for c in d.components if keep in c.edges)
+        n, i, j = len(edges), edges.index(keep), edges.index(drop)
+        first = edges[min(i, j) if n == 2 else (i if (i + 1) % n == j else j)]
+        joined.sort(key=lambda t: (t[2].edge != first, t[2].seq))
+        through = {ci: list(comps[ci].through) for ci, _, _ in joined}
+        for k, (ci, pi, p) in enumerate(joined):
+            through[ci][pi] = replace(p, edge=keep, seq=k)
+        for ci, passes in through.items():
+            comps[ci] = replace(comps[ci], through=tuple(passes))
+    return _rename_edge(replace(d, components=tuple(comps)), drop, keep)
 
 
 def validate(d: Diagram) -> list[str]:
@@ -743,19 +760,22 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
 
 
 def _rename_edge(d: Diagram, old: str, new: str) -> Diagram:
+    """Rename edge ``old`` to ``new``; records that do not name it are kept."""
+
     def fix(e):
         return new if e == old else e
 
     comps = tuple(
         replace(
             c,
-            edges=tuple(fix(e) for e in c.edges),
-            through=tuple(replace(p, edge=fix(p.edge)) for p in c.through),
+            edges=tuple(map(fix, c.edges)),
+            through=tuple(replace(p, edge=new) if p.edge == old else p for p in c.through),
         )
+        if old in c.edges or any(p.edge == old for p in c.through) else c
         for c in d.components
     )
     crossings = tuple(
-        replace(x, edges=tuple(fix(e) for e in x.edges)) if x.is_geometric else x
+        replace(x, edges=tuple(map(fix, x.edges))) if x.is_geometric and old in x.edges else x
         for x in d.crossings
     )
     boxes = tuple(
@@ -765,6 +785,7 @@ def _rename_edge(d: Diagram, old: str, new: str) -> Diagram:
                 replace(s, left=fix(s.left), right=fix(s.right)) for s in b.strands
             ),
         )
+        if any(old in (s.left, s.right) for s in b.strands) else b
         for b in d.boxes
     )
     return Diagram(d.name, comps, crossings, boxes)
@@ -782,13 +803,15 @@ def expand_twistboxes(d: Diagram) -> Diagram:
 def _expand_one_box(d: Diagram, b: TwistBox) -> Diagram:
     k = len(b.strands)
     t = b.halftwists
-    rest = tuple(x for x in d.boxes if x.id != b.id)
-    d = replace(d, boxes=rest)
     if t == 0 or k < 2:
-        # box dissolves: fuse each strand's two edges
-        for s in b.strands:
-            d = _rename_edge(d, s.right, s.left)
-        return d
+        # box dissolves: each strand's two edges join; the strands are read
+        # from the box as the earlier joins renamed them
+        for row in range(k):
+            s = d.box(b.id).strands[row]
+            if s.left != s.right:
+                d = _fuse(d, s.left, s.right)
+        return replace(d, boxes=tuple(x for x in d.boxes if x.id != b.id))
+    d = replace(d, boxes=tuple(x for x in d.boxes if x.id != b.id))
 
     # rows carry (strand_index); cur[row] = dangling edge flowing rightward
     rows = list(range(k))
@@ -887,18 +910,37 @@ def reidemeister(d: Diagram, move: str, site) -> Diagram:
     raise MoveError(f"unknown move {move!r} or site {site!r}")
 
 
-def _split_edge(d: Diagram, e: str, pieces: list[str]) -> Diagram:
-    """Replace edge e in its component cycle by the given chain."""
-    comps = []
-    for c in d.components:
-        if e in c.edges:
-            edges = []
-            for x in c.edges:
-                edges.extend(pieces if x == e else [x])
-            comps.append(replace(c, edges=tuple(edges)))
-        else:
-            comps.append(c)
-    return replace(d, components=tuple(comps))
+def _split_edges(d: Diagram, splits: dict[str, list[str]]) -> Diagram:
+    """Cut each edge e of ``splits`` into the chain ``splits[e]``, which
+    starts with e: the chain replaces e in its component cycle, and the
+    vertex slot at e's head, if it has one, takes the chain's last piece.
+    The caller adds whatever joins the pieces."""
+    heads: dict[str, dict[int, str]] = {}
+    ends = resolve_incidence(d).ends
+    for e, pieces in splits.items():
+        head = ends.get(e, (None, None))[1]
+        if head is not None:
+            heads.setdefault(head[0], {})[head[1]] = pieces[-1]
+    comps = tuple(
+        replace(c, edges=tuple(p for e in c.edges for p in splits.get(e, (e,))))
+        if any(e in splits for e in c.edges) else c
+        for c in d.components
+    )
+    crossings = tuple(
+        replace(x, edges=tuple(heads[x.id].get(i, e) for i, e in enumerate(x.edges)))
+        if x.id in heads else x
+        for x in d.crossings
+    )
+    boxes = []
+    for b in d.boxes:
+        if b.id in heads:
+            layout, strands = _box_layout(b), list(b.strands)
+            for slot, new in heads[b.id].items():
+                row, side = layout[slot]
+                strands[row] = replace(strands[row], **{side: new})
+            b = replace(b, strands=tuple(strands))
+        boxes.append(b)
+    return Diagram(d.name, comps, crossings, tuple(boxes))
 
 
 def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
@@ -910,7 +952,7 @@ def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
     if edge not in owner:
         raise MoveError(f"no edge {edge!r}")
     g, f = d.fresh_edges(2)
-    d2 = _split_edge(d, edge, [edge, g, f])
+    d2 = _split_edges(d, {edge: [edge, g, f]})
     x = Crossing(
         id=d.fresh_id("r1_"),
         sign=sign,
@@ -989,8 +1031,8 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
     if not _share_face(dn, over_edge, under_edge):
         raise MoveError(f"edges {over_edge},{under_edge} do not share a face")
     em, e2, fm, f2 = dn.fresh_edges(4)
-    base = _split_edge(dn, over_edge, [over_edge, em, e2])
-    base = _split_edge(base, under_edge, [under_edge, fm, f2])
+    base = _split_edges(dn, {over_edge: [over_edge, em, e2],
+                             under_edge: [under_edge, fm, f2]})
     x1id, x2id = base.fresh_id("r2a_"), base.fresh_id("r2b_")
     # two planar layouts, differing in the relative direction of the strands
     # along the shared face; take the first that validates

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from kirby import corpus, dsl
+from kirby.handlebody import Handlebody
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +106,17 @@ def test_missing_source_reports_computation_failure(doc):
     report = corpus.verify_corpus(["C_0"], doc=tampered)
     assert not report.ok
     assert "computation failed" in report.results[0].diffs[0]
+
+
+def test_every_script_step_leaves_a_valid_diagram(doc):
+    from kirby import pdcode, script
+
+    for name, ms in doc.scripts.items():
+        engine = script.Engine(
+            Handlebody(doc.diagrams[ms.target]),
+            resolve=lambda n: Handlebody(doc.diagrams[n]) if n in doc.diagrams else None,
+        )
+        for step in ms.steps:
+            engine.run_step(step)
+            assert pdcode.validate(engine.state.diagram) == [], (name, step.index, step.op)
+

@@ -349,6 +349,18 @@ def test_apply_tietze_rejects_illegal_steps():
         grouppres.apply_tietze(g, (("remove", 5),))
 
 
+def test_apply_tietze_rejects_malformed_steps():
+    # a log is a certificate read from outside: every malformed step is a
+    # GroupError, and booleans are not indices
+    g = GroupPresentation.make(("a", "b"), ("a b", "a a b"))
+    for step in (5, ["invert", 0], (), (7,), ("invert",), ("rotate", 0, "x"),
+                 ("eliminate", "a", 0), ("invert", True), ("eliminate", True, 0),
+                 ("multiply", 0, 1, 9), ("remove", 0.0), ("shuffle", 0)):
+        with pytest.raises(grouppres.GroupError):
+            grouppres.apply_tietze(g, [step])
+    assert grouppres.apply_tietze(g, [("rotate", 1, -1), ("invert", 0)]).relators[0] == (-2, -1)
+
+
 @SEEDED
 @given(presentations(max_length=8), st.sampled_from((1, 2, 3, 1000)))
 def test_tietze_simplify_matches_pairwise_scans(g, budget):

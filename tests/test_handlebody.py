@@ -510,3 +510,25 @@ def test_invariant_report_builds_each_matrix_once(monkeypatch):
         except handlebody.HandlebodyError:
             form = None
         assert (report["form"] and report["form"]["matrix"]) == form
+
+
+def test_blowup_keys_follow_the_passes_on_each_edge():
+    # m passes a2 with key 0, so the new sphere's pass on a2 goes after
+    # it; the sphere sits on the left of its box, where the strand of a4
+    # leaves on the new edge w1
+    d = Diagram(
+        "C",
+        (
+            Component("a", FRAMED, 0, edges=("a1", "a2", "a4", "a3")),
+            Component("m", DOTTED, through=(Pass("a1", 1, 0), Pass("a2", 1, 0), Pass("a4", -1, 0))),
+        ),
+        boxes=(pdcode.TwistBox("B", 0, (pdcode.BoxStrand("a1", "a2", 1), pdcode.BoxStrand("a3", "a4", -1))),),
+    )
+    h = Handlebody(d)
+    up = handlebody.blowup(h, 1, (("a2", 1), ("a4", -1)))
+    assert up.diagram.component("u0").through == (Pass("a2", 1, 1), Pass("w1", -1, 0))
+    assert handlebody.validate(up) == []
+    assert handlebody._pass_words(up.diagram)["a"] == handlebody._pass_words(d)["a"]
+    down = handlebody.blowdown(up, "u0")
+    assert handlebody.validate(down) == []
+    assert pdcode.linking_matrix(down.diagram) == pdcode.linking_matrix(d)

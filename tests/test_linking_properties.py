@@ -253,3 +253,130 @@ def test_moves_keep_linking_equal_to_tracked_congruence(h, moves):
         rank, torsion = sympy_cokernel(b, len(b))
         bh = handlebody.boundary_H1(h)
         assert (bh.rank, list(bh.torsion)) == (rank, torsion)
+
+
+@st.composite
+def precut_handlebodies(draw):
+    """Framed circles cut into one to three edges that meet at no vertex,
+    or clasped through a twist box as the C_n diagrams are, with dotted
+    circles passing through them and counted records for their linking:
+    diagrams that are valid but not normalized."""
+    comps, boxes = [], []
+    for i in range(draw(st.integers(2, 3))):
+        c = f"c{i}"
+        if draw(st.booleans()):
+            edges = (f"{c}e1", f"{c}e2", f"{c}e4", f"{c}e3")
+            strands = (BoxStrand(edges[0], edges[1], 1), BoxStrand(edges[3], edges[2], -1))
+            boxes.append(TwistBox(f"B{i}", draw(st.integers(0, 3)), strands))
+        else:
+            edges = tuple(f"{c}e{k}" for k in range(draw(st.integers(1, 3))))
+        comps.append(Component(c, FRAMED, draw(st.integers(-2, 2)), edges=edges))
+    framed = [c.id for c in comps]
+    edges = [e for c in comps for e in c.edges]
+    seq = {}
+    for m in range(draw(st.integers(0, 2))):
+        through = []
+        for e in draw(st.lists(st.sampled_from(edges), max_size=3)):
+            seq[e] = seq.get(e, -1) + 1
+            through.append(Pass(e, draw(st.sampled_from((1, -1))), seq[e]))
+        comps.append(Component(f"m{m}", DOTTED, through=tuple(through)))
+    crossings = []
+    for a, b in itertools.combinations(framed, 2):
+        v = draw(st.integers(-1, 1))
+        if v:
+            crossings.append(Crossing(f"x{len(crossings)}", v, between=(a, b), count=2))
+    return Handlebody(Diagram("precut", tuple(comps), tuple(crossings), tuple(boxes)))
+
+
+def _blowup_linking(q, eps, l):
+    """Q + eps l l^T, bordered by the new sphere's row l and framing eps."""
+    n = len(q)
+    out = [[q[i][j] + eps * l[i] * l[j] for j in range(n)] + [l[i]] for i in range(n)]
+    return out + [list(l) + [eps]]
+
+
+def pieces(d):
+    """Each edge's piece of the planar map: the components that a twist
+    box threads together."""
+    owner = d.edge_owner()
+    root = {c.id: c.id for c in d.components}
+
+    def find(c):
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    for b in d.boxes:
+        first = find(owner[b.strands[0].left])
+        for s in b.strands[1:]:
+            root[find(owner[s.left])] = first
+    return {e: find(c) for e, c in owner.items()}
+
+
+STRANDS = st.lists(st.tuples(st.integers(0, 99), st.sampled_from((1, -1))), min_size=1, max_size=2)
+MOVES = st.lists(
+    st.tuples(st.sampled_from(("blowup", "blowdown", "slide", "blowup", "blowdown")),
+              st.integers(0, 99), st.one_of(STRANDS, STRANDS, st.just([])), st.sampled_from((1, -1))),
+    max_size=6,
+)
+
+
+@settings(SEEDED, max_examples=120)
+@given(precut_handlebodies(), MOVES)
+def test_moves_on_unnormalized_diagrams_stay_valid(h, moves):
+    # tracked: slides as E Q E^T, a blowup of sign eps through strands with
+    # signed pass counts l as Q (+) <eps> + eps l l^T, a blowdown as the
+    # inverse, Q - eps l l^T with the sphere's row and column removed
+    d = h.diagram
+    assert pdcode.validate(d) == []
+    order = [c.id for c in d.components]
+    q = pdcode.linking_matrix(d)
+    for kind, i, through, sign in moves:
+        framed = [c for c in d.components if c.kind == FRAMED]
+        if kind == "slide" and len(framed) > 1:
+            a, over = framed[i % len(framed)].id, framed[(i + 1) % len(framed)].id
+            h = handlebody.slide(h, a, over, sign)
+            e = sympy.eye(len(order))
+            e[order.index(a), order.index(over)] = sign
+            q = (e * sympy.Matrix(q) * e.T).tolist()
+        elif kind == "blowup":
+            # one strand per piece of the planar map: blowup does not check
+            # that strands of one piece can run side by side through the
+            # sphere's disk
+            piece, groups = pieces(d), {}
+            for e in (e for c in framed for e in c.edges):
+                groups.setdefault(piece[e], []).append(e)
+            roots = list(groups)
+            picked = {}
+            for j, (k, s) in enumerate(through[: len(roots)]):
+                group = groups[roots[(through[0][0] + j) % len(roots)]]
+                picked[group[k % len(group)]] = s
+            h = handlebody.blowup(h, sign, tuple(picked.items()))
+            owner = d.edge_owner()
+            l = [sum(s for e, s in picked.items() if owner[e] == cid) for cid in order]
+            q = _blowup_linking(q, sign, l)
+            order.append(h.diagram.components[-1].id)
+        elif kind == "blowdown":
+            # a round sphere if there is one; a sphere that a slide
+            # re-encoded as a linked loop is refused
+            spheres = [c for c in framed if c.framing in (1, -1) and c.is_round]
+            spheres = spheres or [c for c in framed if c.framing in (1, -1)]
+            if not spheres:
+                continue
+            u = spheres[i % len(spheres)]
+            try:
+                h = handlebody.blowdown(h, u.id)
+            except handlebody.HandlebodyError:
+                assert not u.is_round
+                continue
+            k = order.index(u.id)
+            l = q[k][:k] + [0] + q[k][k + 1:]
+            q = [[q[r][c] - u.framing * l[r] * l[c] for c in range(len(order)) if c != k]
+                 for r in range(len(order)) if r != k]
+            order.remove(u.id)
+        else:
+            continue
+        d = h.diagram
+        assert [c.id for c in d.components] == order
+        assert pdcode.validate(d) == [], (kind, d)
+        assert pdcode.linking_matrix(d) == q

@@ -1,5 +1,6 @@
 """Framed-link diagram structure, validation, and Reidemeister moves."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -287,3 +288,104 @@ def test_crossing_on_unknown_edge_is_a_diagram_error():
     ):
         with pytest.raises(pdcode.DiagramError, match="crossing x: unknown edge 'e9'"):
             read()
+
+
+def torus_knot(halftwists=5):
+    return Diagram(
+        "torus",
+        (Component("K", FRAMED, 0, edges=("k1", "k2", "k3", "k4")),),
+        boxes=(TwistBox("T", halftwists, (BoxStrand("k1", "k2"), BoxStrand("k3", "k4"))),),
+    )
+
+
+def sweep_diagrams():
+    return (hopf(), pdcode.expand_twistboxes(torus_knot()), three_strand_braid())
+
+
+def test_r1_insert_on_every_edge_validates():
+    # the kink's exit edge takes the cut edge's head slot
+    for d in sweep_diagrams():
+        lk = pdcode.linking_matrix(d)
+        for e in d.edge_owner():
+            for sign in (1, -1):
+                kinked = pdcode.r1_insert(d, e, sign)
+                assert pdcode.validate(kinked) == [], (d.name, e, sign)
+                assert pdcode.linking_matrix(kinked) == lk
+
+
+def test_accepted_r2_inserts_validate():
+    accepted = 0
+    for d in sweep_diagrams():
+        lk = pdcode.linking_matrix(d)
+        for e, f in itertools.permutations(d.edge_owner(), 2):
+            try:
+                poked = pdcode.r2_insert(d, e, f)
+            except pdcode.MoveError:
+                continue
+            accepted += 1
+            assert pdcode.validate(poked) == [], (d.name, e, f)
+            assert pdcode.linking_matrix(poked) == lk
+    assert accepted >= 20
+
+
+def test_box_rotation_follows_box_layout():
+    # the pre-layout arithmetic: lefts top to bottom, then the rights bottom
+    # to top, with the rows on the right reversed by an odd twist count
+    for k in range(1, 5):
+        for t in range(-3, 5):
+            strands = tuple(BoxStrand(f"l{r}", f"r{r}", 1 if r % 2 else -1) for r in range(k))
+            b = TwistBox("B", t, strands)
+            rights = [s.right for s in strands]
+            right_order = list(reversed(rights)) if t % 2 else rights
+            rotation, pairings = pdcode._collect_pairings(Diagram("box", boxes=(b,)))
+            assert rotation["B"] == [s.left for s in strands] + list(reversed(right_order))
+            layout = pdcode._box_layout(b)
+            assert rotation["B"] == [getattr(strands[row], side) for row, side in layout]
+            for row, s in enumerate(strands):
+                ((_, r, slot_l, slot_r, _),) = pairings[frozenset((s.left, s.right))]
+                assert (r, slot_l, slot_r) == (row, row, k + (row if t % 2 else k - 1 - row))
+
+
+def test_weld_ends_have_no_slot():
+    # k2 -> k4 and k3 -> k1 meet at no vertex: the resolver leaves those
+    # ends unset instead of refusing the diagram
+    d = clasp(3)
+    inc = pdcode.resolve_incidence(d)
+    assert inc.ends["e2"][1] is None and inc.ends["e4"][0] is None
+    assert inc.ends["e3"][1] is None and inc.ends["e1"][0] is None
+    assert inc.ends["e1"][1] == ("B", 0)
+    assert "a1" not in pdcode.resolve_incidence(unknot()).ends
+    # a vertex strand that no cycle runs through still raises
+    bad = Diagram(
+        "bad",
+        (Component("a", FRAMED, 0, edges=("a1", "a2")),),
+        crossings=(Crossing("x", 1, edges=("a1", "a3", "a2", "a4"), over=0),),
+    )
+    with pytest.raises(pdcode.DiagramError, match="unused vertex pairings"):
+        pdcode.resolve_incidence(bad)
+
+
+def test_fusing_keeps_diagrams_valid():
+    from kirby import corpus, grouppres
+    from kirby.handlebody import _pass_words
+
+    diagrams = [d for d in corpus.load_document().diagrams.values() if not pdcode.validate(d)]
+    diagrams += [clasp(t) for t in range(4)]
+    for d in diagrams:
+        n = pdcode.normalize(d)
+        assert pdcode.validate(n) == [], d.name
+        assert _pass_words(n) == _pass_words(d), d.name
+        assert pdcode.validate(pdcode.expand_twistboxes(d)) == [], d.name
+    assert pdcode.expand_twistboxes(clasp(0)).components[0].edges == ("e1",)
+    assert grouppres.wirtinger(clasp(0)).generators == ("ge1",)
+
+
+def test_fuse_renumbers_passes_along_the_cycle():
+    # e3 -> e1 is a weld across the end of the cycle, so e3's passes come
+    # first on the joined edge
+    d = replace(clasp(3), components=clasp(3).components + (
+        Component("m", DOTTED, through=(Pass("e1", 1, 0), Pass("e3", -1, 0), Pass("e1", 1, 1))),
+    ))
+    n = pdcode.normalize(d)
+    assert n.component("k").edges == ("e1", "e2")
+    assert n.component("m").through == (Pass("e1", 1, 1), Pass("e1", -1, 0), Pass("e1", 1, 2))
