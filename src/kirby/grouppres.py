@@ -274,7 +274,9 @@ def _apply_step(gens: list[str], rels: list[Word], step) -> None:
     elif op == "remove":
         i = check(step[1])
         key = _least_rotation(rels[i])
-        if not any(_least_rotation(s) == key for k, s in enumerate(rels) if k != i):
+        if not any(
+            len(s) == len(key) and _least_rotation(s) == key for k, s in enumerate(rels) if k != i
+        ):
             raise GroupError(f"relator {i} is not redundant")
         del rels[i]
     elif op == "eliminate":
@@ -304,20 +306,26 @@ def _eliminate(gens: list[str], rels: list[Word], gen_idx: int, i: int) -> None:
     if e < 0:
         repl = invert_word(repl)
 
-    def substitute(w: Word) -> Word:
-        out: list[int] = []
-        for x in w:
-            if abs(x) == gen_idx:
-                out.extend(repl if x > 0 else invert_word(repl))
-            else:
-                out.append(x)
-        return tuple(out)
-
-    def shift(w: Word) -> Word:
-        return tuple(x - (1 if x > gen_idx else 0) if x > 0 else x + (1 if -x > gen_idx else 0) for x in w)
+    # one image per letter: the other generators move down past gen_idx,
+    # and ±gen_idx becomes the shifted replacement or its inverse
+    image = {
+        x: (x - 1 if x > gen_idx else x,) for x in range(1, len(gens) + 1) if x != gen_idx
+    }
+    image.update({-x: (-y,) for x, (y,) in image.items()})
+    image[gen_idx] = tuple(y for x in repl for y in image[x])
+    image[-gen_idx] = invert_word(image[gen_idx])
 
     del gens[gen_idx - 1], rels[i]
-    rels[:] = [w for w in (cyclic_reduce(shift(substitute(s))) for s in rels) if w]
+    # only a relator that contained ±gen_idx can need reducing: the shift
+    # alone renames letters one to one and keeps their order
+    out = []
+    for s in rels:
+        w = tuple(itertools.chain.from_iterable(map(image.__getitem__, s)))
+        if gen_idx in s or -gen_idx in s:
+            w = cyclic_reduce(w)
+        if w:
+            out.append(w)
+    rels[:] = out
 
 
 @dataclass(frozen=True)
@@ -349,10 +357,21 @@ def tietze_simplify(g: GroupPresentation, budget: int = 1000) -> Simplification:
 def _next_steps(rels: list[Word]) -> list[tuple]:
     """The steps of the next greedy move, or none when no move applies."""
     # drop a duplicate relator, compared by least rotation; inverting
-    # first when it only duplicates the inverse of an earlier one
-    seen: set[Word] = set()
-    seen_inverse: set[Word] = set()
+    # first when it only duplicates the inverse of an earlier one.  A
+    # rotation of r or of r^-1 has the letters of r up to sign, so only
+    # relators in one bucket of that multiset can match: least rotations
+    # are taken once a second relator reaches a bucket, once per relator
+    lone: dict[Word, Word] = {}  # bucket -> its only relator so far
+    keyed: dict[Word, tuple[set[Word], set[Word]]] = {}  # bucket -> (seen, seen_inverse)
     for i, r in enumerate(rels):
+        bucket = tuple(sorted(map(abs, r)))
+        if bucket not in keyed:
+            if bucket not in lone:
+                lone[bucket] = r
+                continue
+            first = lone.pop(bucket)
+            keyed[bucket] = ({_least_rotation(first)}, {_least_rotation(invert_word(first))})
+        seen, seen_inverse = keyed[bucket]
         key = _least_rotation(r)
         if key in seen:
             return [("remove", i)]
@@ -365,7 +384,7 @@ def _next_steps(rels: list[Word]) -> list[tuple]:
     # shortest relator, then lowest indices
     best = None
     for i, r in enumerate(rels):
-        once = [gen for gen, k in Counter(abs(x) for x in r).items() if k == 1]
+        once = [gen for gen, k in Counter(map(abs, r)).items() if k == 1]
         if once and (best is None or len(r) < best[0]):
             best = (len(r), i, min(once))
     if best is not None:

@@ -1034,8 +1034,9 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
     base = _split_edges(dn, {over_edge: [over_edge, em, e2],
                              under_edge: [under_edge, fm, f2]})
     x1id, x2id = base.fresh_id("r2a_"), base.fresh_id("r2b_")
-    # two planar layouts, differing in the relative direction of the strands
-    # along the shared face; take the first that validates
+    # four planar layouts: the first crossing on the under pieces
+    # (under_edge, fm) or on (fm, f2), each with both relative directions
+    # of the strands along the shared face; take the first that validates
     layouts = [
         (
             Crossing(x1id, 1, edges=(over_edge, under_edge, em, fm), over=0),
@@ -1044,6 +1045,14 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
         (
             Crossing(x1id, 1, edges=(over_edge, fm, em, under_edge), over=0),
             Crossing(x2id, 1, edges=(em, fm, e2, f2), over=0),
+        ),
+        (
+            Crossing(x1id, 1, edges=(over_edge, fm, em, f2), over=0),
+            Crossing(x2id, 1, edges=(em, fm, e2, under_edge), over=0),
+        ),
+        (
+            Crossing(x1id, 1, edges=(over_edge, f2, em, fm), over=0),
+            Crossing(x2id, 1, edges=(em, under_edge, e2, fm), over=0),
         ),
     ]
     last_err = None

@@ -7,9 +7,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kirby import handlebody, pdcode, script
+from kirby import corpus, handlebody, pdcode, script
 from kirby.handlebody import Handlebody
 from kirby.pdcode import BoxStrand, Component, Crossing, Diagram, DOTTED, FRAMED, Pass, TwistBox
+
+from test_pdcode import sweep_diagrams
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -380,3 +382,18 @@ def test_moves_on_unnormalized_diagrams_stay_valid(h, moves):
         assert [c.id for c in d.components] == order
         assert pdcode.validate(d) == [], (kind, d)
         assert pdcode.linking_matrix(d) == q
+
+
+def mirror_subjects():
+    """The valid corpus diagrams and the diagrams of the R1/R2 sweeps."""
+    valid = [d for _, d in sorted(corpus.load_document().diagrams.items()) if not pdcode.validate(d)]
+    return valid + list(sweep_diagrams())
+
+
+@SEEDED
+@given(st.sampled_from(mirror_subjects()))
+def test_mirror_is_a_valid_involution_negating_linking(d):
+    m = pdcode.mirror(d)
+    assert pdcode.mirror(m) == d
+    assert pdcode.validate(m) == []
+    assert pdcode.linking_matrix(m) == [[-v for v in row] for row in pdcode.linking_matrix(d)]

@@ -314,18 +314,27 @@ def test_r1_insert_on_every_edge_validates():
 
 
 def test_accepted_r2_inserts_validate():
-    accepted = 0
+    # every ordered pair of edges on a common face is a legal site, and
+    # r2_remove cancels the two new crossings again
+    sites = 0
     for d in sweep_diagrams():
         lk = pdcode.linking_matrix(d)
+        old, dn = {x.id for x in d.crossings}, pdcode.normalize(d)
         for e, f in itertools.permutations(d.edge_owner(), 2):
-            try:
-                poked = pdcode.r2_insert(d, e, f)
-            except pdcode.MoveError:
+            if not pdcode._share_face(dn, e, f):
+                with pytest.raises(pdcode.MoveError):
+                    pdcode.r2_insert(d, e, f)
                 continue
-            accepted += 1
+            sites += 1
+            poked = pdcode.r2_insert(d, e, f)
             assert pdcode.validate(poked) == [], (d.name, e, f)
             assert pdcode.linking_matrix(poked) == lk
-    assert accepted >= 20
+            new = [x.id for x in poked.crossings if x.id not in old]
+            assert len(new) == 2
+            back = pdcode.r2_remove(poked, *new)
+            assert pdcode.validate(back) == [], (d.name, e, f)
+            assert pdcode.linking_matrix(back) == lk
+    assert sites == 78
 
 
 def test_box_rotation_follows_box_layout():
