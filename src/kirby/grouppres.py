@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from . import intmat
+from . import intmat, pdcode
 from .intmat import AbelianGroup
 
 Word = tuple[int, ...]
@@ -603,8 +603,6 @@ def wirtinger(d) -> GroupPresentation:
     Round components must be split from everything else; each contributes
     a free generator.
     """
-    from . import pdcode
-
     if d.boxes:
         d = pdcode.expand_twistboxes(d)
     d = pdcode.normalize(d)
@@ -659,13 +657,10 @@ def handlebody_pi1(d) -> GroupPresentation:
     """Fundamental group of the 2-handlebody: one generator per dotted
     circle, one relator per framed component spelling its passes through
     the dotted circles in order."""
-    from . import pdcode
-    from .handlebody import _pass_words
-
     dotted = [c for c in d.components if c.kind == pdcode.DOTTED]
     gen_index = {c.id: i + 1 for i, c in enumerate(dotted)}
     relators = []
-    for word in _pass_words(d).values():
+    for word in pdcode._pass_words(d).values():
         w = cyclic_reduce(tuple(s * gen_index[dot] for dot, s in word))
         if w:
             relators.append(w)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from . import forms, intmat, pdcode
+from . import forms, grouppres, intmat, pdcode
 from .forms import BilinearForm
 from .intmat import AbelianGroup
 from .pdcode import (
@@ -83,37 +83,12 @@ def _slide_rows(q: list[list[int]], a: int, c: int, k: int) -> None:
         row[a] += k * row[c]
 
 
-def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
-    """The pass word of every framed component, keyed by its id."""
-    # passes are stored on the round dotted components; regroup them by the
-    # passing edge's owner, ordered along that component
-    owner = d.edge_owner()
-    per_comp: dict[str, list] = {}
-    for dot in d.components:
-        if dot.kind != pdcode.DOTTED:
-            continue
-        for p in dot.through:
-            cid = owner.get(p.edge)
-            if cid is None:
-                raise HandlebodyError(f"pass references unknown edge {p.edge}")
-            per_comp.setdefault(cid, []).append((p.edge, p.seq, dot.id, p.sign))
-    words: dict[str, list[tuple[str, int]]] = {}
-    for c in d.components:
-        if c.kind != pdcode.FRAMED:
-            continue
-        passes = per_comp.get(c.id, [])
-        pos = {e: i for i, e in enumerate(c.edges)}
-        passes.sort(key=lambda t: (pos.get(t[0], 0), t[1]))
-        words[c.id] = [(dot, s) for _, _, dot, s in passes]
-    return words
-
-
 def _model_from_diagram(d: Diagram) -> _Model:
     return _Model(
         [c.id for c in d.components],
         {c.id: c.kind for c in d.components},
         pdcode.linking_matrix(d),
-        _pass_words(d),
+        pdcode._pass_words(d),
     )
 
 
@@ -162,7 +137,7 @@ def pass_matrix(d: Diagram) -> tuple[list[list[int]], list[str], list[str]]:
     """Algebraic pass counts: rows = dotted circles, columns = 2-handles."""
     dots = [c.id for c in d.components if c.kind == pdcode.DOTTED]
     framed = [c.id for c in d.components if c.kind == pdcode.FRAMED]
-    words = _pass_words(d)
+    words = pdcode._pass_words(d)
     p = intmat.zeros(len(dots), len(framed))
     for j, fid in enumerate(framed):
         for dot, s in words[fid]:
@@ -171,41 +146,9 @@ def pass_matrix(d: Diagram) -> tuple[list[list[int]], list[str], list[str]]:
 
 
 def is_connected(d: Diagram) -> bool:
-    ids = [c.id for c in d.components]
-    if len(ids) <= 1:
-        return True
-    owner = d.edge_owner()
-    adj: dict[str, set[str]] = {i: set() for i in ids}
-
-    def link(a, b):
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-
-    for x in d.crossings:
-        if x.is_geometric:
-            owners = {owner[e] for e in x.edges}
-            for a in owners:
-                for b in owners:
-                    link(a, b)
-        else:
-            link(*x.between)
-    for box in d.boxes:
-        owners = {owner[s.left] for s in box.strands}
-        for a in owners:
-            for b in owners:
-                link(a, b)
-    for c in d.components:
-        for p in c.through:
-            link(c.id, owner[p.edge])
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        for b in adj[frontier.pop()]:
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return len(seen) == len(ids)
+    """Whether the components form one piece under the incidences that
+    ``pdcode._crossing_totals`` records (crossings, boxes and passes)."""
+    return len(pdcode._pieces([c.id for c in d.components], pdcode._crossing_totals(d))) <= 1
 
 
 @dataclass(frozen=True)
@@ -274,14 +217,10 @@ def boundary_H1(h: Handlebody) -> AbelianGroup:
 
 
 def fundamental_group(h: Handlebody):
-    from . import grouppres
-
     return grouppres.handlebody_pi1(h.diagram)
 
 
 def invariant_report(h: Handlebody) -> dict:
-    from . import grouppres
-
     p, dots, framed = pass_matrix(h.diagram)
     lk = pdcode.linking_matrix(h.diagram)
     hom = _homology(h, p, dots, framed)
@@ -323,7 +262,7 @@ def slide(h: Handlebody, a: str, c: str, sign: int = 1) -> Handlebody:
     of c's word (inverted for a negative slide).  The band is taken in the
     diagram complement, so no new linking is introduced.
     """
-    if sign not in (1, -1):
+    if not pdcode._is_sign(sign):
         raise HandlebodyError("slide sign must be +-1")
     d = h.diagram
     ca, cc = d.component(a), d.component(c)
@@ -368,6 +307,32 @@ def _insert_twist_box(d: Diagram, passes, halftwists: int) -> Diagram:
     return replace(d, components=tuple(comps), boxes=d.boxes + (box,))
 
 
+def _twist(d: Diagram, passes, t: int, move: str) -> Diagram:
+    """Give the strands of ``passes``, the disk of a ±1 sphere, t full
+    twists, and correct each framing by t*l^2, where l is the component's
+    signed pass count through the disk."""
+    owner = d.edge_owner()
+    counts: dict[str, int] = {}
+    for p in passes:
+        if p.edge not in owner:
+            raise HandlebodyError(f"unknown edge {p.edge!r}")
+        if not pdcode._is_sign(p.sign):
+            raise HandlebodyError("pass signs must be +-1")
+        cid = owner[p.edge]
+        if d.component(cid).kind == pdcode.DOTTED:
+            raise HandlebodyError(f"{move} through a dotted circle is unsupported")
+        counts[cid] = counts.get(cid, 0) + p.sign
+    if len({p.edge for p in passes}) != len(passes):
+        raise HandlebodyError(f"{move} with repeated through-edges is unsupported")
+    comps = tuple(
+        replace(c, framing=c.framing + t * counts[c.id] ** 2)
+        if c.id in counts and c.framing is not None else c
+        for c in d.components
+    )
+    d = replace(d, components=comps)
+    return _insert_twist_box(d, passes, 2 * t) if passes else d
+
+
 def blowup(h: Handlebody, sign: int, through=()) -> Handlebody:
     """Connected-sum with a ±1 sphere: add a ±1-framed unknot, optionally
     encircling the listed strands.
@@ -378,25 +343,13 @@ def blowup(h: Handlebody, sign: int, through=()) -> Handlebody:
     and its boundary only change by the connected sum.  The new component
     is round-encoded and can always be blown down again.
     """
-    if sign not in (1, -1):
+    if not pdcode._is_sign(sign):
         raise HandlebodyError("blowup sign must be +-1")
-    through = [
-        (p, 1) if isinstance(p, str) else (p[0], p[1]) for p in through
-    ]
+    through = [(p, 1) if isinstance(p, str) else p for p in through]
+    for p in through:
+        if not (isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], str)):
+            raise HandlebodyError(f"through entry {p!r} is not an edge or (edge, sign)")
     d = h.diagram
-    owner = d.edge_owner()
-    counts: dict[str, int] = {}
-    for e, s in through:
-        if e not in owner:
-            raise HandlebodyError(f"unknown edge {e!r}")
-        if s not in (1, -1):
-            raise HandlebodyError("pass signs must be +-1")
-        cid = owner[e]
-        if d.component(cid).kind == pdcode.DOTTED:
-            raise HandlebodyError("blowup through a dotted circle is unsupported")
-        counts[cid] = counts.get(cid, 0) + s
-    if len({e for e, _ in through}) != len(through):
-        raise HandlebodyError("blowup with repeated through-edges is unsupported")
     uid = d.fresh_id("u")
     # the new sphere's passes come after those already on their edges, and
     # the box right after them
@@ -405,14 +358,8 @@ def blowup(h: Handlebody, sign: int, through=()) -> Handlebody:
         for p in c.through:
             last[p.edge] = max(last.get(p.edge, -1), p.seq)
     passes = [Pass(e, s, last.get(e, -1) + 1) for e, s in through]
-    comps = []
-    for c in d.components:
-        if c.id in counts and c.framing is not None:
-            c = replace(c, framing=c.framing + sign * counts[c.id] ** 2)
-        comps.append(c)
-    d2 = replace(d, components=tuple(comps))
+    d2 = _twist(d, passes, sign, "blowup")
     if passes:
-        d2 = _insert_twist_box(d2, passes, 2 * sign)
         # a strand running right to left meets the sphere on its new piece
         passes = [
             p if p.sign > 0 else Pass(s.left, p.sign, 0)
@@ -445,34 +392,13 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
             raise HandlebodyError(
                 "blowdown target is passed over by other components"
             )
-    eps = cu.framing
-    owner = d.edge_owner()
-    edges = [p.edge for p in cu.through]
-    if len(set(edges)) != len(edges):
-        raise HandlebodyError("blowdown with repeated through-edges is unsupported")
     for x in d.crossings:
         if not x.is_geometric and u in x.between:
             raise HandlebodyError(
                 "blowdown target has linking not recorded by its through-strands"
             )
-    # framing corrections from total signed pass counts
-    counts: dict[str, int] = {}
-    for p in cu.through:
-        cid = owner[p.edge]
-        if d.component(cid).kind == pdcode.DOTTED:
-            raise HandlebodyError("blowdown through a dotted circle is unsupported")
-        counts[cid] = counts.get(cid, 0) + p.sign
-    comps = []
-    for c in d.components:
-        if c.id == u:
-            continue
-        if c.id in counts and c.framing is not None:
-            c = replace(c, framing=c.framing - eps * counts[c.id] ** 2)
-        comps.append(c)
-    d2 = replace(d, components=tuple(comps))
-    if cu.through:
-        d2 = _insert_twist_box(d2, cu.through, -2 * eps)
-    return h.with_diagram(d2)
+    rest = replace(d, components=tuple(c for c in d.components if c.id != u))
+    return h.with_diagram(_twist(rest, cu.through, -cu.framing, "blowdown"))
 
 
 def swap_dot(h: Handlebody, c: str, certificate: str | None = None) -> Handlebody:
@@ -626,7 +552,7 @@ def marking_is_automorphism(d: Diagram, marking: SymmetryMarking) -> bool:
         for b in ids:
             if a < b and q[pos[a]][pos[b]] != q[pos[cmap[a]]][pos[cmap[b]]]:
                 return False
-    words = _pass_words(d)
+    words = pdcode._pass_words(d)
     for fid, word in words.items():
         img_word = words.get(cmap[fid], [])
         mapped = [(cmap[dt], s) for dt, s in word]

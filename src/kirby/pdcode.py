@@ -24,6 +24,14 @@ and cancellations synthesize such records, one per linked pair; all
 linking/homology computations read them in the same single pass as
 geometric crossings, twist boxes and through-passes, while moves that need
 honest planar structure (Reidemeister, Wirtinger) refuse them.
+
+``_crossing_totals`` is the one walk over those incidence records: linking
+numbers, the parity check of ``validate`` and the connectivity of a
+handlebody all read its keys and totals, and it refuses a record that
+names an unknown edge or component.  Likewise ``_pass_words`` is the one
+reading of the passes through dotted circles, and ``_pieces`` the one
+search for the connected pieces of a planar map, a handlebody or a
+surface.
 """
 
 from __future__ import annotations
@@ -394,25 +402,26 @@ def trace_faces(inc: Incidence) -> list[list[tuple[str, int]]]:
     return faces
 
 
-def _connected_pieces(inc: Incidence) -> list[set[str]]:
-    """Connected components of the vertex-edge graph, as vertex id sets."""
-    adj: dict[str, set[str]] = {}
-    for e, (tail, head) in inc.ends.items():
-        adj.setdefault(tail[0], set()).add(head[0])
-        adj.setdefault(head[0], set()).add(tail[0])
-    pieces = []
-    todo = set(adj)
-    while todo:
-        v = todo.pop()
-        piece = {v}
-        stack = [v]
+def _pieces(nodes, pairs) -> list[set]:
+    """Connected pieces of the graph on ``nodes`` with one edge per pair, in
+    the order of their first node.  A pair naming a node outside ``nodes``
+    raises KeyError."""
+    adj: dict = {v: [] for v in nodes}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    pieces: list[set] = []
+    seen: set = set()
+    for v in adj:
+        if v in seen:
+            continue
+        piece, stack = {v}, [v]
         while stack:
-            w = stack.pop()
-            for u in adj.get(w, ()):
+            for u in adj[stack.pop()]:
                 if u not in piece:
                     piece.add(u)
-                    todo.discard(u)
                     stack.append(u)
+        seen |= piece
         pieces.append(piece)
     return pieces
 
@@ -503,6 +512,11 @@ def _fuse(d: Diagram, keep: str, drop: str) -> Diagram:
     return _rename_edge(replace(d, components=tuple(comps)), drop, keep)
 
 
+def _is_sign(v) -> bool:
+    """Whether v is the int +1 or -1 (``True`` is not a sign)."""
+    return type(v) is int and v in (1, -1)
+
+
 def validate(d: Diagram) -> list[str]:
     """All diagram invariants; returns human-readable violations (empty for
     a valid diagram)."""
@@ -523,7 +537,7 @@ def validate(d: Diagram) -> list[str]:
         if c.through and not c.is_round:
             out.append(f"component {c.id}: through-passes only on round components")
         for p in c.through:
-            if p.sign not in (1, -1):
+            if not _is_sign(p.sign):
                 out.append(f"component {c.id}: pass sign must be +-1")
 
     owner: dict[str, str] = {}
@@ -534,7 +548,7 @@ def validate(d: Diagram) -> list[str]:
             owner[e] = c.id
 
     for x in d.crossings:
-        if x.sign not in (1, -1):
+        if not _is_sign(x.sign):
             out.append(f"crossing {x.id}: sign must be +-1")
         if x.is_geometric:
             if x.count != 1:
@@ -554,7 +568,7 @@ def validate(d: Diagram) -> list[str]:
             for e in (s.left, s.right):
                 if e not in owner:
                     out.append(f"box {b.id}: unknown edge {e!r}")
-            if s.orient not in (1, -1):
+            if not _is_sign(s.orient):
                 out.append(f"box {b.id}: strand orientation must be +-1")
     # passes must reference edges of non-round components, with distinct
     # sequence keys per edge
@@ -617,7 +631,8 @@ def validate(d: Diagram) -> list[str]:
         faces = trace_faces(inc)
     except DiagramError as err:
         return out + [str(err)]
-    for piece in _connected_pieces(inc):
+    vertices = [v for v, rot in inc.rotation.items() if rot]
+    for piece in _pieces(vertices, [(t[0], h[0]) for t, h in inc.ends.values()]):
         v = len(piece)
         e = sum(1 for _, (tail, _head) in inc.ends.items() if tail[0] in piece)
         f = sum(
@@ -648,8 +663,13 @@ def _crossing_totals(d: Diagram) -> dict[frozenset, int]:
     """Signed crossing total of every pair of distinct components, in one
     pass: a crossing counts ``sign * count``, each strand pair of a twist
     box crosses once per half twist, and a through-pass counts as the two
-    crossings of its strand with the round component."""
+    crossings of its strand with the round component.  Every pair that
+    meets at some record has a key, even when its total is 0.  A name this
+    pass reads that the diagram lacks raises DiagramError: the first two
+    edges of a geometric crossing, the pair of an abstract one, either edge
+    of a box strand, or the edge of a pass."""
     owner = d.edge_owner()
+    ids = {c.id for c in d.components}
     totals: dict[frozenset, int] = {}
 
     def add(a, b, v):
@@ -659,21 +679,58 @@ def _crossing_totals(d: Diagram) -> dict[frozenset, int]:
 
     for x in d.crossings:
         if x.is_geometric:
-            for e in x.edges[:2]:
-                if e not in owner:
-                    raise DiagramError(f"crossing {x.id}: unknown edge {e!r}")
-            add(owner[x.edges[0]], owner[x.edges[1]], x.sign)
+            try:
+                add(owner[x.edges[0]], owner[x.edges[1]], x.sign)
+            except KeyError as err:
+                raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
         else:
-            add(*x.between, x.sign * x.count)
+            a, b = x.between
+            if a not in ids or b not in ids:
+                raise DiagramError(f"crossing {x.id}: unknown component in {x.between}")
+            add(a, b, x.sign * x.count)
     for box in d.boxes:
+        for s in box.strands:
+            for e in (s.left, s.right):
+                if e not in owner:
+                    raise DiagramError(f"box {box.id}: unknown edge {e!r}")
         for s1, s2 in itertools.combinations(box.strands, 2):
-            add(owner.get(s1.left), owner.get(s2.left),
-                box.halftwists * s1.orient * s2.orient)
+            add(owner[s1.left], owner[s2.left], box.halftwists * s1.orient * s2.orient)
     for c in d.components:
         if c.is_round:
             for p in c.through:
-                add(c.id, owner.get(p.edge), 2 * p.sign)
+                if p.edge not in owner:
+                    raise DiagramError(
+                        f"component {c.id}: pass references unknown edge {p.edge!r}"
+                    )
+                add(c.id, owner[p.edge], 2 * p.sign)
     return totals
+
+
+def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
+    """The pass word of every framed component, keyed by its id: its signed
+    passes through the dotted circles, in order along the component."""
+    # passes are stored on the round dotted components; regroup them by the
+    # passing edge's owner, ordered along that component
+    owner = d.edge_owner()
+    per_comp: dict[str, list] = {}
+    for dot in d.components:
+        if dot.kind != DOTTED:
+            continue
+        for p in dot.through:
+            if p.edge not in owner:
+                raise DiagramError(
+                    f"component {dot.id}: pass references unknown edge {p.edge!r}"
+                )
+            per_comp.setdefault(owner[p.edge], []).append((p.edge, p.seq, dot.id, p.sign))
+    words: dict[str, list[tuple[str, int]]] = {}
+    for c in d.components:
+        if c.kind != FRAMED:
+            continue
+        passes = per_comp.get(c.id, [])
+        pos = {e: i for i, e in enumerate(c.edges)}
+        passes.sort(key=lambda t: (pos.get(t[0], 0), t[1]))
+        words[c.id] = [(dot, s) for _, _, dot, s in passes]
+    return words
 
 
 def _half(totals: dict[frozenset, int], c1: str, c2: str) -> int:
@@ -747,7 +804,10 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
     crossings = []
     for x in d.crossings:
         if x.is_geometric:
-            ca, cb = owner[x.edges[0]], owner[x.edges[1]]
+            try:
+                ca, cb = owner[x.edges[0]], owner[x.edges[1]]
+            except KeyError as err:
+                raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
             involved = (ca == cid) + (cb == cid)
         else:
             involved = list(x.between).count(cid)
@@ -946,7 +1006,7 @@ def _split_edges(d: Diagram, splits: dict[str, list[str]]) -> Diagram:
 def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
     """Add a kink on the given edge; writhe changes by the sign, framings
     do not."""
-    if sign not in (1, -1):
+    if not _is_sign(sign):
         raise MoveError("kink sign must be +-1")
     owner = d.edge_owner()
     if edge not in owner:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from . import grouppres, pdcode
 from . import handlebody as hb
-from . import pdcode
 from . import surface as sf
 from .dsl import MoveScript, Step, _sign
 from .handlebody import Handlebody
@@ -398,8 +398,6 @@ class Engine:
     def _pi1_trivial(self) -> tuple[bool, str]:
         """Whether Tietze simplification reaches the trivial group, and a
         note for a failed assertion when the budget ran out first."""
-        from . import grouppres
-
         simp = grouppres.tietze_simplify(hb.fundamental_group(self.state), self.budget)
         note = f" (Tietze budget of {self.budget} steps ran out)" if simp.budget_exhausted else ""
         return simp.presentation.is_obviously_trivial(), note

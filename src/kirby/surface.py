@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import grouppres, intmat, pdcode
 from . import handlebody as hb
-from . import intmat, pdcode
 from .handlebody import Handlebody
 
 
@@ -91,7 +91,7 @@ def validate_surface(s: SurfacePresentation) -> list[str]:
     for sh in s.sheets:
         if sh.on not in framed:
             out.append(f"sheet {sh.id} lies over unknown 2-handle {sh.on!r}")
-        if sh.sign not in (1, -1):
+        if not pdcode._is_sign(sh.sign):
             out.append(f"sheet {sh.id} has sign {sh.sign}")
         if sh.cap is not None and sh.cap not in disk_ids:
             out.append(f"sheet {sh.id} capped by unknown disk {sh.cap!r}")
@@ -103,7 +103,7 @@ def validate_surface(s: SurfacePresentation) -> list[str]:
         for disk, sign in r.passes:
             if disk not in {d.id for d in s.minima} and disk not in comp_ids:
                 out.append(f"ribbon {r.id} passes unknown disk {disk!r}")
-            if sign not in (1, -1):
+            if not pdcode._is_sign(sign):
                 out.append(f"ribbon {r.id} has pass sign {sign}")
     return out
 
@@ -114,25 +114,12 @@ def euler_characteristic(s: SurfacePresentation) -> int:
 
 def is_connected_surface(s: SurfacePresentation) -> bool:
     nodes = [d.id for d in s.minima] + [sh.id for sh in s.sheets]
-    if len(nodes) <= 1:
-        return True
-    adj = {n: set() for n in nodes}
-    for r in s.ribbons:
-        a, b = r.ends
-        adj[a].add(b)
-        adj[b].add(a)
-    for sh in s.sheets:
-        if sh.cap is not None:
-            adj[sh.id].add(sh.cap)
-            adj[sh.cap].add(sh.id)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        for b in adj[frontier.pop()]:
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return len(seen) == len(nodes)
+    pairs = [r.ends for r in s.ribbons]
+    pairs += [(sh.id, sh.cap) for sh in s.sheets if sh.cap is not None]
+    try:
+        return len(pdcode._pieces(nodes, pairs)) <= 1
+    except KeyError as err:
+        raise SurfaceError(f"a ribbon or cap names unknown piece {err.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -293,8 +280,6 @@ def check_sum_well_defined(
     with a dual sphere meeting it algebraically once.  Anything else is
     indeterminate, never refused.
     """
-    from . import grouppres
-
     reasons = []
     simp = grouppres.tietze_simplify(hb.fundamental_group(host), budget)
     if not simp.presentation.is_obviously_trivial():

@@ -2,16 +2,21 @@
 invariants they must preserve, checked against matrix congruence oracles."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kirby import handlebody, intmat, pdcode
+from kirby import corpus, handlebody, intmat, pdcode, surface
 from kirby.handlebody import Handlebody
-from kirby.pdcode import Component, Crossing, Diagram, FRAMED, DOTTED, Pass, SymmetryMarking
+from kirby.pdcode import (
+    BoxStrand, Component, Crossing, Diagram, FRAMED, DOTTED, Pass, SymmetryMarking, TwistBox,
+)
+from kirby.surface import Disk, Ribbon, Sheet, SurfacePresentation
 
 from conftest import random_symmetric, random_unimodular
+from test_pdcode import hopf, sweep_diagrams
 
 
 def abstract_link(framings, lk):
@@ -528,7 +533,143 @@ def test_blowup_keys_follow_the_passes_on_each_edge():
     up = handlebody.blowup(h, 1, (("a2", 1), ("a4", -1)))
     assert up.diagram.component("u0").through == (Pass("a2", 1, 1), Pass("w1", -1, 0))
     assert handlebody.validate(up) == []
-    assert handlebody._pass_words(up.diagram)["a"] == handlebody._pass_words(d)["a"]
+    assert pdcode._pass_words(up.diagram)["a"] == pdcode._pass_words(d)["a"]
     down = handlebody.blowdown(up, "u0")
     assert handlebody.validate(down) == []
     assert pdcode.linking_matrix(down.diagram) == pdcode.linking_matrix(d)
+
+
+# -- one reading per diagram fact ------------------------------------------
+
+
+def walked_is_connected(d):
+    """The walk over crossings, boxes and passes that ``is_connected`` ran
+    before it read the incidences of ``pdcode._crossing_totals``."""
+    ids = [c.id for c in d.components]
+    if len(ids) <= 1:
+        return True
+    owner = d.edge_owner()
+    adj = {i: set() for i in ids}
+
+    def link(a, b):
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+
+    for x in d.crossings:
+        if x.is_geometric:
+            owners = {owner[e] for e in x.edges}
+            for a in owners:
+                for b in owners:
+                    link(a, b)
+        else:
+            link(*x.between)
+    for box in d.boxes:
+        owners = {owner[s.left] for s in box.strands}
+        for a in owners:
+            for b in owners:
+                link(a, b)
+    for c in d.components:
+        for p in c.through:
+            link(c.id, owner[p.edge])
+    seen = {ids[0]}
+    frontier = [ids[0]]
+    while frontier:
+        for b in adj[frontier.pop()]:
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return len(seen) == len(ids)
+
+
+def test_is_connected_matches_the_walk_it_replaced():
+    valid = [d for _, d in sorted(corpus.load_document().diagrams.items()) if not pdcode.validate(d)]
+    subjects = valid + [pdcode.expand_twistboxes(d) for d in valid] + list(sweep_diagrams())
+    split = Diagram("split", hopf().components + (Component("c", FRAMED, 0, edges=("c1",)),),
+                    hopf().crossings)
+    subjects.append(split)
+    verdicts = [handlebody.is_connected(d) for d in subjects]
+    assert verdicts == [walked_is_connected(d) for d in subjects]
+    assert True in verdicts and False in verdicts
+
+
+def _stray(records=(), boxes=(), passes=()):
+    """Framed a, b and a round +1 sphere u; each argument adds records
+    that may name something the diagram lacks."""
+    comps = (
+        Component("a", FRAMED, 0, edges=("a1", "a2")),
+        Component("b", FRAMED, 0, edges=("b1", "b2")),
+        Component("u", FRAMED, 1, through=tuple(passes)),
+    )
+    return Diagram("stray", comps, tuple(records), tuple(boxes))
+
+
+BOX = _stray(boxes=(TwistBox("B", 2, (BoxStrand("a1", "a2"), BoxStrand("b9", "b2"))),))
+PASS = _stray(passes=(Pass("a1", 1, 0), Pass("z1", 1, 0)))
+ABSTRACT = _stray(records=(Crossing("y", 1, between=("a", "q"), count=2),))
+DOTTED_PASS = Diagram("stray", (
+    Component("f", FRAMED, 0, edges=("f1",)),
+    Component("m", DOTTED, through=(Pass("z1", 1, 0),)),
+))
+SURFACE = SurfacePresentation("s", Handlebody(Diagram()), minima=(Disk("d0"), Disk("d1")))
+
+
+@pytest.mark.parametrize("read, error, match", [
+    (lambda: pdcode.linking_matrix(BOX), pdcode.DiagramError, "box B: unknown edge 'b9'"),
+    (lambda: pdcode.linking_matrix(PASS), pdcode.DiagramError,
+     "component u: pass references unknown edge 'z1'"),
+    (lambda: pdcode.linking_matrix(ABSTRACT), pdcode.DiagramError,
+     r"crossing y: unknown component in \('a', 'q'\)"),
+    (lambda: handlebody.is_connected(BOX), pdcode.DiagramError, "unknown edge 'b9'"),
+    (lambda: handlebody.is_connected(PASS), pdcode.DiagramError, "unknown edge 'z1'"),
+    (lambda: handlebody.homology(Handlebody(DOTTED_PASS)), pdcode.DiagramError,
+     "component m: pass references unknown edge 'z1'"),
+    (lambda: handlebody.blowdown(Handlebody(PASS), "u"), handlebody.HandlebodyError,
+     "unknown edge 'z1'"),
+    (lambda: pdcode.reverse_orientation(
+        _stray(records=(Crossing("x", 1, edges=("a1", "q1", "a2", "b2")),)), "a"),
+     pdcode.DiagramError, "crossing x: unknown edge 'q1'"),
+    (lambda: surface.is_connected_surface(replace(SURFACE, ribbons=(Ribbon("r", ("d0", "d9")),))),
+     surface.SurfaceError, "unknown piece 'd9'"),
+    (lambda: surface.is_connected_surface(replace(SURFACE, sheets=(Sheet("s", "a", cap="d9"),))),
+     surface.SurfaceError, "unknown piece 'd9'"),
+    (lambda: handlebody.blowup(hopf_handlebody(), 1, [7]), handlebody.HandlebodyError,
+     "through entry 7"),
+    (lambda: handlebody.blowup(hopf_handlebody(), 1, [("a1",)]), handlebody.HandlebodyError,
+     "through entry"),
+], ids=[
+    "linking_matrix-box", "linking_matrix-pass", "linking_matrix-abstract",
+    "is_connected-box", "is_connected-pass", "homology-pass", "blowdown-pass",
+    "reverse_orientation-crossing", "is_connected_surface-ribbon",
+    "is_connected_surface-cap", "blowup-bare-int", "blowup-short-tuple",
+])
+def test_unknown_names_are_refused_with_typed_errors(read, error, match):
+    with pytest.raises(error, match=match):
+        read()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: handlebody.blowup(hopf_handlebody(), True), handlebody.HandlebodyError),
+    (lambda: handlebody.blowup(hopf_handlebody(), 1, [("a1", True)]), handlebody.HandlebodyError),
+    (lambda: handlebody.slide(dotted_example(), "f", "b", True), handlebody.HandlebodyError),
+    (lambda: pdcode.r1_insert(hopf(), "a1", True), pdcode.MoveError),
+    (lambda: pdcode.validate(replace(hopf(), crossings=tuple(
+        replace(x, sign=True) for x in hopf().crossings))), None),
+    (lambda: pdcode.validate(replace(dotted_example().diagram, components=tuple(
+        replace(c, through=tuple(replace(p, sign=True) for p in c.through))
+        for c in dotted_example().diagram.components))), None),
+    (lambda: pdcode.validate(Diagram("box", (Component("k", FRAMED, 0, edges=("k1", "k2")),),
+                                     boxes=(TwistBox("T", 1, (BoxStrand("k1", "k2", True),)),))),
+     None),
+    (lambda: surface.validate_surface(SurfacePresentation(
+        "s", hopf_handlebody(), sheets=(Sheet("s0", "a", True),))), None),
+], ids=[
+    "blowup", "blowup-pass", "slide", "r1_insert", "validate-crossing", "validate-pass",
+    "validate-strand", "validate_surface-sheet",
+])
+def test_boolean_signs_are_refused(call, error):
+    if error is None:
+        assert any("sign" in v or "orientation" in v for v in call())
+    else:
+        with pytest.raises(error, match="sign"):
+            call()

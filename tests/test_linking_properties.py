@@ -11,6 +11,7 @@ from kirby import corpus, handlebody, pdcode, script
 from kirby.handlebody import Handlebody
 from kirby.pdcode import BoxStrand, Component, Crossing, Diagram, DOTTED, FRAMED, Pass, TwistBox
 
+from test_handlebody import walked_is_connected
 from test_pdcode import sweep_diagrams
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -331,6 +332,7 @@ def test_moves_on_unnormalized_diagrams_stay_valid(h, moves):
     # inverse, Q - eps l l^T with the sphere's row and column removed
     d = h.diagram
     assert pdcode.validate(d) == []
+    assert handlebody.is_connected(d) == walked_is_connected(d)
     order = [c.id for c in d.components]
     q = pdcode.linking_matrix(d)
     for kind, i, through, sign in moves:
@@ -382,6 +384,7 @@ def test_moves_on_unnormalized_diagrams_stay_valid(h, moves):
         assert [c.id for c in d.components] == order
         assert pdcode.validate(d) == [], (kind, d)
         assert pdcode.linking_matrix(d) == q
+        assert handlebody.is_connected(d) == walked_is_connected(d)
 
 
 def mirror_subjects():

@@ -376,7 +376,7 @@ def test_weld_ends_have_no_slot():
 
 def test_fusing_keeps_diagrams_valid():
     from kirby import corpus, grouppres
-    from kirby.handlebody import _pass_words
+    from kirby.pdcode import _pass_words
 
     diagrams = [d for d in corpus.load_document().diagrams.values() if not pdcode.validate(d)]
     diagrams += [clasp(t) for t in range(4)]
