@@ -614,37 +614,22 @@ def wirtinger(d) -> GroupPresentation:
             raise GroupError(f"round component {c.id} is not split")
     inc = pdcode.resolve_incidence(d)
 
-    # arcs: merge edges across over-strands
-    parent: dict[str, str] = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c in d.components:
-        for e in c.edges:
-            parent.setdefault(e, e)
-    for x in d.crossings:
-        a, b = x.over_pair()
-        union(a, b)
-
-    arc_names = sorted({find(e) for e in parent})
-    arcs = {e: arc_names.index(find(e)) + 1 for e in parent}
+    # arcs: the edges joined across over-strands, numbered by least edge
+    arcs = sorted(
+        pdcode._pieces(
+            [e for c in d.components for e in c.edges], [x.over_pair() for x in d.crossings]
+        ),
+        key=min,
+    )
+    arc_of = {e: i for i, arc in enumerate(arcs, 1) for e in arc}
     free = [c.id for c in d.components if c.is_round]
-    gens = tuple(f"g{a}" for a in arc_names) + tuple(free)
+    gens = tuple(f"g{min(arc)}" for arc in arcs) + tuple(free)
 
     relators = []
     for x in d.crossings:
         over_in, _ = inc.flow[(x.id, x.over)]
         under_in, under_out = inc.flow[(x.id, 1 - x.over)]
-        o, u, v = arcs[over_in], arcs[under_in], arcs[under_out]
+        o, u, v = arc_of[over_in], arc_of[under_in], arc_of[under_out]
         if x.sign > 0:
             w = (-v, o, u, -o)
         else:

@@ -381,7 +381,7 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
     """
     d = h.diagram
     cu = d.component(u)
-    if cu.kind != pdcode.FRAMED or cu.framing not in (1, -1):
+    if cu.kind != pdcode.FRAMED or not pdcode._is_sign(cu.framing):
         raise HandlebodyError("blowdown needs a framed component with framing +-1")
     if not cu.is_round:
         # a free loop (single edge meeting no vertex and carrying no
@@ -393,7 +393,13 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
                 "blowdown target is passed over by other components"
             )
     for x in d.crossings:
-        if not x.is_geometric and u in x.between:
+        if x.is_geometric:
+            continue
+        try:
+            pair = pdcode._between(x)
+        except pdcode.DiagramError as err:
+            raise HandlebodyError(str(err)) from None
+        if u in pair:
             raise HandlebodyError(
                 "blowdown target has linking not recorded by its through-strands"
             )

@@ -29,9 +29,10 @@ honest planar structure (Reidemeister, Wirtinger) refuse them.
 numbers, the parity check of ``validate`` and the connectivity of a
 handlebody all read its keys and totals, and it refuses a record that
 names an unknown edge or component.  Likewise ``_pass_words`` is the one
-reading of the passes through dotted circles, and ``_pieces`` the one
-search for the connected pieces of a planar map, a handlebody or a
-surface.
+reading of the passes through dotted circles, ``_pieces`` the one search
+for the connected pieces of a planar map, a handlebody or a surface, and
+``_recut`` the one edit of a component cycle: edge splits, fusing, box
+expansion and the Reidemeister moves all rewrite cycles through it.
 """
 
 from __future__ import annotations
@@ -484,15 +485,23 @@ def normalize(d: Diagram) -> Diagram:
         d = _fuse(d, *weld)
 
 
+def _recut(d: Diagram, chains) -> tuple[Component, ...]:
+    """d's components with each edge e of ``chains`` replaced in its cycle
+    by the names ``chains[e]``: no names delete e, one renames it, several
+    split it."""
+    return tuple(
+        replace(c, edges=tuple(p for e in c.edges for p in chains.get(e, (e,))))
+        if any(e in chains for e in c.edges) else c
+        for c in d.components
+    )
+
+
 def _fuse(d: Diagram, keep: str, drop: str) -> Diagram:
     """Join edge ``drop`` onto its neighbour ``keep`` in their component
     cycle: drop it from the cycle and rename it everywhere.  The passes on
     the joined edge are renumbered in their order along the cycle: those of
     whichever edge comes first, then the other's, each by its old key."""
-    comps = [
-        replace(c, edges=tuple(e for e in c.edges if e != drop)) if drop in c.edges else c
-        for c in d.components
-    ]
+    comps = list(_recut(d, {drop: ()}))
     joined = [
         (ci, pi, p)
         for ci, c in enumerate(d.components)
@@ -509,12 +518,37 @@ def _fuse(d: Diagram, keep: str, drop: str) -> Diagram:
             through[ci][pi] = replace(p, edge=keep, seq=k)
         for ci, passes in through.items():
             comps[ci] = replace(comps[ci], through=tuple(passes))
-    return _rename_edge(replace(d, components=tuple(comps)), drop, keep)
+
+    def fix(e):
+        return keep if e == drop else e
+
+    crossings = tuple(
+        replace(x, edges=tuple(map(fix, x.edges))) if x.is_geometric and drop in x.edges else x
+        for x in d.crossings
+    )
+    boxes = tuple(
+        replace(b, strands=tuple(
+            replace(s, left=fix(s.left), right=fix(s.right)) for s in b.strands
+        ))
+        if any(drop in (s.left, s.right) for s in b.strands) else b
+        for b in d.boxes
+    )
+    return Diagram(d.name, tuple(comps), crossings, boxes)
 
 
 def _is_sign(v) -> bool:
     """Whether v is the int +1 or -1 (``True`` is not a sign)."""
     return type(v) is int and v in (1, -1)
+
+
+def _between(x: Crossing) -> tuple[str, str]:
+    """The two component ids of abstract crossing x; DiagramError unless
+    it names a pair."""
+    try:
+        a, b = x.between
+    except (TypeError, ValueError):
+        raise DiagramError(f"crossing {x.id}: abstract crossing needs two components") from None
+    return a, b
 
 
 def validate(d: Diagram) -> list[str]:
@@ -530,6 +564,8 @@ def validate(d: Diagram) -> list[str]:
             out.append(f"component {c.id}: unknown kind {c.kind!r}")
         if c.kind == FRAMED and c.framing is None:
             out.append(f"component {c.id}: framed component needs a framing")
+        elif c.kind == FRAMED and type(c.framing) is not int:
+            out.append(f"component {c.id}: framing must be an integer")
         if c.kind != FRAMED and c.framing is not None:
             out.append(f"component {c.id}: only framed components carry framings")
         if c.kind == DOTTED and not c.is_round:
@@ -559,9 +595,12 @@ def validate(d: Diagram) -> list[str]:
             continue
         if x.count < 1:
             out.append(f"crossing {x.id}: abstract count must be at least 1")
-        if x.between is None or len(x.between) != 2:
-            out.append(f"crossing {x.id}: abstract crossing needs two components")
-        elif not set(x.between) <= seen_ids:
+        try:
+            pair = _between(x)
+        except DiagramError as err:
+            out.append(str(err))
+            continue
+        if not set(pair) <= seen_ids:
             out.append(f"crossing {x.id}: unknown component in {x.between}")
     for b in d.boxes:
         for s in b.strands:
@@ -684,7 +723,12 @@ def _crossing_totals(d: Diagram) -> dict[frozenset, int]:
             except KeyError as err:
                 raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
         else:
-            a, b = x.between
+            # unpacked inline: a _between call per record slows this walk by
+            # a tenth on diagrams of abstract records
+            try:
+                a, b = x.between
+            except (TypeError, ValueError):
+                a, b = _between(x)  # raises DiagramError
             if a not in ids or b not in ids:
                 raise DiagramError(f"crossing {x.id}: unknown component in {x.between}")
             add(a, b, x.sign * x.count)
@@ -757,8 +801,12 @@ def linking_matrix(d: Diagram, comps: list[str] | None = None) -> list[list[int]
     n = len(comps)
     q = [[0] * n for _ in range(n)]
     for i, ci in enumerate(comps):
-        comp = d.component(ci)
-        q[i][i] = comp.framing if comp.framing is not None else 0
+        framing = d.component(ci).framing
+        if framing is None:
+            framing = 0
+        elif type(framing) is not int:
+            raise DiagramError(f"component {ci}: framing must be an integer")
+        q[i][i] = framing
         for j in range(i + 1, n):
             q[i][j] = q[j][i] = _half(totals, ci, comps[j])
     return q
@@ -810,45 +858,13 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
                 raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
             involved = (ca == cid) + (cb == cid)
         else:
-            involved = list(x.between).count(cid)
+            involved = _between(x).count(cid)
         crossings.append(replace(x, sign=-x.sign) if involved == 1 else x)
     return Diagram(d.name, tuple(comps), tuple(crossings), d.boxes)
 
 
 # ---------------------------------------------------------------------------
 # Twist box expansion
-
-
-def _rename_edge(d: Diagram, old: str, new: str) -> Diagram:
-    """Rename edge ``old`` to ``new``; records that do not name it are kept."""
-
-    def fix(e):
-        return new if e == old else e
-
-    comps = tuple(
-        replace(
-            c,
-            edges=tuple(map(fix, c.edges)),
-            through=tuple(replace(p, edge=new) if p.edge == old else p for p in c.through),
-        )
-        if old in c.edges or any(p.edge == old for p in c.through) else c
-        for c in d.components
-    )
-    crossings = tuple(
-        replace(x, edges=tuple(map(fix, x.edges))) if x.is_geometric and old in x.edges else x
-        for x in d.crossings
-    )
-    boxes = tuple(
-        replace(
-            b,
-            strands=tuple(
-                replace(s, left=fix(s.left), right=fix(s.right)) for s in b.strands
-            ),
-        )
-        if any(old in (s.left, s.right) for s in b.strands) else b
-        for b in d.boxes
-    )
-    return Diagram(d.name, comps, crossings, boxes)
 
 
 def expand_twistboxes(d: Diagram) -> Diagram:
@@ -879,18 +895,28 @@ def _expand_one_box(d: Diagram, b: TwistBox) -> Diagram:
     sign_dir = 1 if t > 0 else -1
     new_crossings: list[Crossing] = []
     inserts: dict[int, list[str]] = {i: [] for i in range(k)}  # interior edges per strand
+    # each strand crosses every other once per half twist; its last
+    # crossing takes the strand's right edge, and the fresh name drawn for
+    # it goes unused so that the later names, which order the Wirtinger
+    # generators, stay the same
+    last = abs(t) * (k - 1)
 
     counter = itertools.count()
     fresh = d.fresh_edges(abs(t) * k * (k - 1))
     xid_base = b.id
 
+    def out_edge(strand):
+        e = fresh[next(counter)]
+        if len(inserts[strand]) == last - 1:
+            return b.strands[strand].right
+        inserts[strand].append(e)
+        return e
+
     def make_crossing(i):
         """Cross rows i and i+1 (the occupants swap)."""
-        nonlocal cur, rows
         nw, sw = cur[i], cur[i + 1]
-        se = fresh[next(counter)]
-        ne = fresh[next(counter)]
         top_strand, bottom_strand = rows[i], rows[i + 1]
+        se, ne = out_edge(top_strand), out_edge(bottom_strand)
         # positive twists: bottom strand over; negative: top strand over
         over = 1 if sign_dir > 0 else 0
         or_top = b.strands[top_strand].orient
@@ -902,8 +928,6 @@ def _expand_one_box(d: Diagram, b: TwistBox) -> Diagram:
             over=over,
         )
         new_crossings.append(x)
-        inserts[top_strand].append(se)
-        inserts[bottom_strand].append(ne)
         cur[i], cur[i + 1] = ne, se
         rows[i], rows[i + 1] = bottom_strand, top_strand
 
@@ -913,32 +937,15 @@ def _expand_one_box(d: Diagram, b: TwistBox) -> Diagram:
             for i in range(start - 1, -1, -1):
                 make_crossing(i)
 
-    d2 = replace(d, crossings=d.crossings + tuple(new_crossings))
-    # splice the interior edges into the component cycles; the last interior
-    # edge of each strand absorbs the declared exit edge
-    comps = []
-    for c in d2.components:
-        if c.is_round or not any(s.left in c.edges for s in b.strands):
-            comps.append(c)
-            continue
-        edges = list(c.edges)
-        for sidx, s in enumerate(b.strands):
-            if s.left not in edges:
-                continue
-            chain = inserts[sidx][:-1]
-            if s.orient == -1:
-                # component traverses right to left: interior edges reversed,
-                # placed just after the exit edge
-                pos = edges.index(s.right)
-                edges[pos + 1 : pos + 1] = list(reversed(chain))
-            else:
-                pos = edges.index(s.left)
-                edges[pos + 1 : pos + 1] = chain
-        comps.append(replace(c, edges=tuple(edges)))
-    d2 = replace(d2, components=tuple(comps))
+    # the interior edges follow each strand's entry edge; a strand running
+    # right to left meets them in reverse
+    chains = {}
     for sidx, s in enumerate(b.strands):
-        d2 = _rename_edge(d2, inserts[sidx][-1], s.right)
-    return d2
+        if s.orient == 1:
+            chains[s.left] = (s.left, *inserts[sidx])
+        else:
+            chains[s.right] = (s.right, *reversed(inserts[sidx]))
+    return replace(d, components=_recut(d, chains), crossings=d.crossings + tuple(new_crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -981,11 +988,6 @@ def _split_edges(d: Diagram, splits: dict[str, list[str]]) -> Diagram:
         head = ends.get(e, (None, None))[1]
         if head is not None:
             heads.setdefault(head[0], {})[head[1]] = pieces[-1]
-    comps = tuple(
-        replace(c, edges=tuple(p for e in c.edges for p in splits.get(e, (e,))))
-        if any(e in splits for e in c.edges) else c
-        for c in d.components
-    )
     crossings = tuple(
         replace(x, edges=tuple(heads[x.id].get(i, e) for i, e in enumerate(x.edges)))
         if x.id in heads else x
@@ -1000,7 +1002,33 @@ def _split_edges(d: Diagram, splits: dict[str, list[str]]) -> Diagram:
                 strands[row] = replace(strands[row], **{side: new})
             b = replace(b, strands=tuple(strands))
         boxes.append(b)
-    return Diagram(d.name, comps, crossings, tuple(boxes))
+    return Diagram(d.name, _recut(d, splits), crossings, tuple(boxes))
+
+
+def _geometric(d: Diagram, *xids: str) -> list[Crossing]:
+    """The crossings ``xids`` of a move site; MoveError if one is abstract."""
+    xs = [d.crossing(xid) for xid in xids]
+    for x in xs:
+        if not x.is_geometric:
+            raise MoveError(f"crossing {x.id} is abstract")
+    return xs
+
+
+def _unthreaded(d: Diagram, edges, what: str) -> None:
+    """Refuse a move site whose ``edges`` pass through a round component."""
+    for c in d.components:
+        if c.is_round and any(p.edge in edges for p in c.through):
+            raise MoveError(f"{what} through round component {c.id}")
+
+
+def _delete(d: Diagram, xids, edges) -> Diagram:
+    """Drop the crossings ``xids`` and the ``edges`` between them, then
+    fuse the loose ends."""
+    return normalize(replace(
+        d,
+        components=_recut(d, {e: () for e in edges}),
+        crossings=tuple(x for x in d.crossings if x.id not in xids),
+    ))
 
 
 def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
@@ -1025,9 +1053,7 @@ def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
 def r1_remove(d: Diagram, xid: str) -> Diagram:
     """Remove a kink crossing (a crossing whose two strands share an edge
     bounding a monogon)."""
-    x = d.crossing(xid)
-    if not x.is_geometric:
-        raise MoveError(f"crossing {xid} is abstract")
+    (x,) = _geometric(d, xid)
     a, b = x.strand_pairs()
     shared = set(a) & set(b)
     # the monogon loop occupies two adjacent slots; on a two-edge unknot
@@ -1040,20 +1066,8 @@ def r1_remove(d: Diagram, xid: str) -> Diagram:
             break
     if g is None:
         raise MoveError(f"crossing {xid} is not a kink bounding a monogon")
-    comps = []
-    for c in d.components:
-        if g in c.edges:
-            comps.append(replace(c, edges=tuple(e for e in c.edges if e != g)))
-        elif c.is_round and any(p.edge == g for p in c.through):
-            raise MoveError(f"kink loop {g} passes through round component {c.id}")
-        else:
-            comps.append(c)
-    d2 = replace(
-        d,
-        components=tuple(comps),
-        crossings=tuple(y for y in d.crossings if y.id != xid),
-    )
-    return normalize(d2)
+    _unthreaded(d, (g,), f"kink loop {g} passes")
+    return _delete(d, (xid,), (g,))
 
 
 def _with_derived_signs(d: Diagram, ids: set[str]) -> Diagram:
@@ -1130,10 +1144,7 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
 
 def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
     """Cancel two crossings that share both strands across a bigon."""
-    x1, x2 = d.crossing(xid1), d.crossing(xid2)
-    for x in (x1, x2):
-        if not x.is_geometric:
-            raise MoveError(f"crossing {x.id} is abstract")
+    x1, x2 = _geometric(d, xid1, xid2)
     shared = set(x1.edges) & set(x2.edges)
     if len(shared) < 2:
         raise MoveError(f"crossings {xid1},{xid2} share {len(shared)} edges")
@@ -1169,23 +1180,8 @@ def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
     )
     if site is None:
         raise MoveError(f"crossings {xid1},{xid2} do not bound a cancelling bigon")
-    em, fm = site
-    comps = []
-    for c in d.components:
-        if c.is_round:
-            if any(p.edge in (em, fm) for p in c.through):
-                raise MoveError("bigon edges pass through a round component")
-            comps.append(c)
-        else:
-            comps.append(
-                replace(c, edges=tuple(e for e in c.edges if e not in (em, fm)))
-            )
-    d2 = replace(
-        d,
-        components=tuple(comps),
-        crossings=tuple(y for y in d.crossings if y.id not in (xid1, xid2)),
-    )
-    return normalize(d2)
+    _unthreaded(d, site, "bigon edges pass")
+    return _delete(d, (xid1, xid2), site)
 
 
 def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
@@ -1194,10 +1190,7 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
     triangular face, and the moving strand must be over (or under) at both
     of its crossings."""
     d = normalize(d)
-    x, y, z = d.crossing(xid1), d.crossing(xid2), d.crossing(xid3)
-    for w in (x, y, z):
-        if not w.is_geometric:
-            raise MoveError(f"crossing {w.id} is abstract")
+    x, y, z = _geometric(d, xid1, xid2, xid3)
 
     inc = resolve_incidence(d)
 
@@ -1227,9 +1220,7 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
     a_t, b_t, c_t = site
     if (a_t in x.over_pair()) != (a_t in y.over_pair()):
         raise MoveError("moving strand is not over (or under) both crossings")
-    for c in d.components:
-        if c.is_round and any(p.edge in (b_t, c_t) for p in c.through):
-            raise MoveError("triangle edges pass through a round component")
+    _unthreaded(d, (b_t, c_t), "triangle edges pass")
 
     nb, nc = d.fresh_edges(2)
 
@@ -1281,11 +1272,5 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
         elif w.id == z.id:
             w = rewire(w, {bz_t: b_near, bz_far: nb, cz_t: c_near, cz_far: nc})
         crossings.append(w)
-    comps = []
-    for c in d.components:
-        if b_t in c.edges:
-            c = replace(c, edges=tuple(nb if e == b_t else e for e in c.edges))
-        if c_t in c.edges:
-            c = replace(c, edges=tuple(nc if e == c_t else e for e in c.edges))
-        comps.append(c)
-    return replace(d, components=tuple(comps), crossings=tuple(crossings))
+    comps = _recut(d, {b_t: (nb,), c_t: (nc,)})
+    return replace(d, components=comps, crossings=tuple(crossings))

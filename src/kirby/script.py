@@ -6,10 +6,11 @@ boundary homology after the step, so invariance is auditable), and fails
 fast with the step index on the first illegal move or failed assertion.
 
 Two trust levels exist for isotopy-type steps: ``certified`` steps must
-be re-derived by the engine (bounded search of diagram reductions), while
-``trusted-endpoints`` steps only require the full invariant reports of
-the two endpoint diagrams to agree.  A wrongly claimed ``certified`` flag
-is a replay failure, not a warning.
+also agree in a structural signature after greedy Reidemeister 1 and 2
+removals (a bounded check that can still accept non-isotopic diagrams),
+while ``trusted-endpoints`` steps only require the full invariant reports
+of the two endpoint diagrams to agree.  A ``certified`` flag that fails
+this check is a replay failure, not a warning.
 
 The environment variable ``KIRBY_BUDGET`` overrides the default search
 and simplification budget of 2000 (values below 1 count as 1); a value
@@ -90,7 +91,7 @@ def _greedy_reduce(d: pdcode.Diagram, budget: int) -> pdcode.Diagram:
                 d = pdcode.r1_remove(d, x.id)
                 progressed = True
                 break
-            except (pdcode.MoveError, pdcode.DiagramError):
+            except pdcode.DiagramError:
                 continue
         if progressed:
             continue
@@ -103,7 +104,7 @@ def _greedy_reduce(d: pdcode.Diagram, budget: int) -> pdcode.Diagram:
                     d = pdcode.r2_remove(d, x.id, y.id)
                     progressed = True
                     break
-                except (pdcode.MoveError, pdcode.DiagramError):
+                except pdcode.DiagramError:
                     continue
             if progressed:
                 break

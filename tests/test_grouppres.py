@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from kirby import corpus, grouppres, handlebody, pdcode
 from kirby.grouppres import GroupPresentation
 
-from test_pdcode import clasp, hopf, unknot
+from test_pdcode import clasp, expansion_subjects, hopf, outcome, unknot
 
 
 # -- independent S_n oracle (permutations as tuples, composed directly) ----
@@ -642,6 +642,60 @@ def torus_knot(q: int) -> pdcode.Diagram:
             ),
         ),
     )
+
+
+def union_find_wirtinger(d) -> GroupPresentation:
+    """The Wirtinger presentation with its arcs merged by union-find, each
+    named by its least edge: the reference for ``wirtinger``."""
+    if d.boxes:
+        d = pdcode.expand_twistboxes(d)
+    d = pdcode.normalize(d)
+    for x in d.crossings:
+        if not x.is_geometric:
+            raise grouppres.GroupError(f"crossing {x.id} has no planar data")
+    for c in d.components:
+        if c.is_round and c.through:
+            raise grouppres.GroupError(f"round component {c.id} is not split")
+    inc = pdcode.resolve_incidence(d)
+    parent: dict[str, str] = {}
+
+    def find(e):
+        while parent.get(e, e) != e:
+            parent[e] = parent.get(parent[e], parent[e])
+            e = parent[e]
+        return e
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for c in d.components:
+        for e in c.edges:
+            parent.setdefault(e, e)
+    for x in d.crossings:
+        union(*x.over_pair())
+    arc_names = sorted({find(e) for e in parent})
+    arcs = {e: arc_names.index(find(e)) + 1 for e in parent}
+    free = [c.id for c in d.components if c.is_round]
+    gens = tuple(f"g{a}" for a in arc_names) + tuple(free)
+    relators = []
+    for x in d.crossings:
+        over_in, _ = inc.flow[(x.id, x.over)]
+        under_in, under_out = inc.flow[(x.id, 1 - x.over)]
+        o, u, v = arcs[over_in], arcs[under_in], arcs[under_out]
+        w = (-v, o, u, -o) if x.sign > 0 else (-v, -o, u, o)
+        relators.append(grouppres.cyclic_reduce(w))
+    return GroupPresentation.make(gens, [r for r in relators if r])
+
+
+def test_wirtinger_arcs_match_union_find():
+    presented = 0
+    for d in expansion_subjects():
+        got = outcome(grouppres.wirtinger, d)
+        assert got == outcome(union_find_wirtinger, d), d.name
+        presented += isinstance(got, GroupPresentation)
+    assert presented > 100
 
 
 def test_wirtinger_trefoil_vs_unknot_quotients():

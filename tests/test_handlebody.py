@@ -607,6 +607,7 @@ def _stray(records=(), boxes=(), passes=()):
 BOX = _stray(boxes=(TwistBox("B", 2, (BoxStrand("a1", "a2"), BoxStrand("b9", "b2"))),))
 PASS = _stray(passes=(Pass("a1", 1, 0), Pass("z1", 1, 0)))
 ABSTRACT = _stray(records=(Crossing("y", 1, between=("a", "q"), count=2),))
+PAIRLESS = _stray(records=(Crossing("y", 1),))
 DOTTED_PASS = Diagram("stray", (
     Component("f", FRAMED, 0, edges=("f1",)),
     Component("m", DOTTED, through=(Pass("z1", 1, 0),)),
@@ -637,11 +638,24 @@ SURFACE = SurfacePresentation("s", Handlebody(Diagram()), minima=(Disk("d0"), Di
      "through entry 7"),
     (lambda: handlebody.blowup(hopf_handlebody(), 1, [("a1",)]), handlebody.HandlebodyError,
      "through entry"),
+    *[(read, pdcode.DiagramError, "crossing y: abstract crossing needs two components") for read in (
+        lambda: pdcode.linking_matrix(PAIRLESS),
+        lambda: handlebody.invariant_report(Handlebody(PAIRLESS)),
+        lambda: handlebody.is_connected(PAIRLESS),
+        lambda: handlebody.slide(Handlebody(PAIRLESS), "a", "b"),
+        lambda: pdcode.reverse_orientation(PAIRLESS, "a"),
+        lambda: pdcode.linking_matrix(_stray(records=(Crossing("y", 1, between=("a", "b", "u")),))),
+    )],
+    (lambda: handlebody.blowdown(Handlebody(PAIRLESS), "u"), handlebody.HandlebodyError,
+     "crossing y: abstract crossing needs two components"),
 ], ids=[
     "linking_matrix-box", "linking_matrix-pass", "linking_matrix-abstract",
     "is_connected-box", "is_connected-pass", "homology-pass", "blowdown-pass",
     "reverse_orientation-crossing", "is_connected_surface-ribbon",
     "is_connected_surface-cap", "blowup-bare-int", "blowup-short-tuple",
+    "linking_matrix-pairless", "invariant_report-pairless", "is_connected-pairless",
+    "slide-pairless", "reverse_orientation-pairless", "linking_matrix-triple",
+    "blowdown-pairless",
 ])
 def test_unknown_names_are_refused_with_typed_errors(read, error, match):
     with pytest.raises(error, match=match):
@@ -673,3 +687,15 @@ def test_boolean_signs_are_refused(call, error):
     else:
         with pytest.raises(error, match="sign"):
             call()
+
+
+@pytest.mark.parametrize("framing", [True, 1.0, "0", 1.5])
+def test_non_integer_framings_are_refused(framing):
+    d = _stray()
+    d = replace(d, components=tuple(replace(c, framing=framing) for c in d.components))
+    assert "component a: framing must be an integer" in pdcode.validate(d)
+    for read in (pdcode.linking_matrix, lambda d: handlebody.invariant_report(Handlebody(d))):
+        with pytest.raises(pdcode.DiagramError, match="framing must be an integer"):
+            read(d)
+    with pytest.raises(handlebody.HandlebodyError, match="framing"):
+        handlebody.blowdown(Handlebody(d), "u")
