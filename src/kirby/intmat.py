@@ -4,7 +4,9 @@ All matrices are lists (or tuples) of rows of Python ints.  Bareiss
 elimination (``det``, ``rank``, ``inertia``) keeps each entry a minor, and
 ``cokernel`` works modulo one nonzero minor, so their entries stay small;
 only ``smith_normal_form``, which must also return U and V, lets entries
-grow (to thousands of bits on 30x30 inputs).
+grow (to thousands of bits on 30x30 inputs).  ``det`` and ``rank`` pivot on
+the full matrix; ``inertia``, whose input is symmetric, eliminates on the
+upper triangle alone and so does about half the multiplications.
 """
 
 from __future__ import annotations
@@ -344,38 +346,53 @@ def solve(a, b) -> list[int] | None:
 def inertia(q) -> tuple[int, int, int]:
     """(positive, negative, zero) counts of a symmetric integer matrix.
 
-    Symmetric Bareiss elimination on a diagonal pivot: the k-th pivot is a
-    leading principal minor of a congruent matrix, so the k-th LDL^T pivot
-    has the sign of pivot_k * pivot_{k-1} (Sylvester's law of inertia).
+    Symmetric Bareiss elimination on the upper triangle, whose row i holds
+    the entries j >= i.  A step pivots in place on the first nonzero
+    diagonal entry p, with no row or column swaps: every other entry
+    becomes (piv * a_ij - a_ip * a_pj) // prev, an exact division, and row
+    and column p drop out.  Each pivot is a ratio of leading principal
+    minors of a congruent matrix, so the k-th LDL^T pivot has the sign of
+    pivot_k * pivot_{k-1} (Sylvester's law of inertia).  When the diagonal
+    is all zero, the congruence row/col i += row/col j on the first nonzero
+    a_ij makes a_ii = 2 a_ij.
     """
     if not is_symmetric(q):
         raise ValueError("matrix is not symmetric")
-    a = copy(q)
+    u = [list(row[i:]) for i, row in enumerate(q)]
     pos = neg = 0
     prev = 1
-    while a:
-        p = next((i for i in range(len(a)) if a[i][i]), None)
+    while u:
+        p = next((i for i, row in enumerate(u) if row[0]), None)
         if p is None:
             offdiag = next(
-                ((i, j) for i in range(len(a)) for j in range(i + 1, len(a)) if a[i][j]), None
+                ((i, k) for i, row in enumerate(u) for k, x in enumerate(row) if x), None
             )
             if offdiag is None:
                 break
-            i, j = offdiag
-            # row/col i += row/col j makes a[i][i] = 2 a[i][j] != 0
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-            p = i
-        if p:
-            a[0], a[p] = a[p], a[0]
-            for row in a:
-                row[0], row[p] = row[p], row[0]
-        if a[0][0] * prev > 0:
+            p, k = offdiag
+            # rows above p are zero, so only row p changes; a_pj += a_jj = 0
+            row, j = u[p], p + k
+            for t in range(1, k):
+                row[t] += u[p + t][k - t]
+            for t in range(k + 1, len(row)):
+                row[t] += u[j][t - k]
+            row[0] = 2 * row[k]
+        piv = u[p][0]
+        if piv * prev > 0:
             pos += 1
         else:
             neg += 1
-        prev, a = a[0][0], _bareiss_step(a, prev)
+        col = [u[r][p - r] for r in range(p)] + u[p]  # column p, pivot included
+        tail = col[p + 1:]
+        rest = []
+        for i in range(p):
+            row, c = u[i], col[i]
+            del row[p - i]
+            rest.append([(piv * x - c * y) // prev for x, y in zip(row, col[i:p] + tail)])
+        for i in range(p + 1, len(u)):
+            c = col[i]
+            rest.append([(piv * x - c * y) // prev for x, y in zip(u[i], col[i:])])
+        prev, u = piv, rest
     return pos, neg, len(q) - pos - neg
 
 

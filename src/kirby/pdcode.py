@@ -25,10 +25,12 @@ linking/homology computations read them in the same single pass as
 geometric crossings, twist boxes and through-passes, while moves that need
 honest planar structure (Reidemeister, Wirtinger) refuse them.
 
-``_crossing_totals`` is the one walk over those incidence records: linking
+``_crossing_totals`` is the one walk over those incidence records.  It keys
+each pair of distinct components by the id tuple ``(a, b)`` with ``a < b``
+and refuses a record that names an unknown edge or component.  Linking
 numbers, the parity check of ``validate`` and the connectivity of a
-handlebody all read its keys and totals, and it refuses a record that
-names an unknown edge or component.  Likewise ``_pass_words`` is the one
+handlebody all read its keys and totals; ``linking_matrix`` reads them in
+one pass, through an id -> index map.  Likewise ``_pass_words`` is the one
 reading of the passes through dotted circles, ``_pieces`` the one search
 for the connected pieces of a planar map, a handlebody or a surface, and
 ``_recut`` the one edit of a component cycle: edge splits, fusing, box
@@ -543,12 +545,11 @@ def _is_sign(v) -> bool:
 
 def _between(x: Crossing) -> tuple[str, str]:
     """The two component ids of abstract crossing x; DiagramError unless
-    it names a pair."""
-    try:
-        a, b = x.between
-    except (TypeError, ValueError):
-        raise DiagramError(f"crossing {x.id}: abstract crossing needs two components") from None
-    return a, b
+    ``between`` is a tuple of two."""
+    pair = x.between
+    if type(pair) is not tuple or len(pair) != 2:
+        raise DiagramError(f"crossing {x.id}: abstract crossing needs two components")
+    return pair
 
 
 def validate(d: Diagram) -> list[str]:
@@ -685,12 +686,17 @@ def validate(d: Diagram) -> list[str]:
             )
 
     # integral linking: signed crossing totals between distinct components
-    # must be even
-    totals = _crossing_totals(d)
-    for c1, c2 in itertools.combinations(d.components, 2):
-        total = totals.get(frozenset((c1.id, c2.id)), 0)
-        if total % 2:
-            out.append(f"components {c1.id},{c2.id}: odd crossing count {total}")
+    # must be even; reported in the order of the component pairs
+    pos = {c.id: i for i, c in enumerate(d.components)}
+    odd = sorted(
+        (min(pos[a], pos[b]), max(pos[a], pos[b]), total)
+        for (a, b), total in _crossing_totals(d).items()
+        if total % 2
+    )
+    for i, j, total in odd:
+        out.append(
+            f"components {d.components[i].id},{d.components[j].id}: odd crossing count {total}"
+        )
     return out
 
 
@@ -698,56 +704,68 @@ def validate(d: Diagram) -> list[str]:
 # Linking numbers, mirrors, orientation reversal
 
 
-def _crossing_totals(d: Diagram) -> dict[frozenset, int]:
+def _crossing_totals(d: Diagram) -> dict[tuple[str, str], int]:
     """Signed crossing total of every pair of distinct components, in one
-    pass: a crossing counts ``sign * count``, each strand pair of a twist
-    box crosses once per half twist, and a through-pass counts as the two
-    crossings of its strand with the round component.  Every pair that
-    meets at some record has a key, even when its total is 0.  A name this
-    pass reads that the diagram lacks raises DiagramError: the first two
-    edges of a geometric crossing, the pair of an abstract one, either edge
-    of a box strand, or the edge of a pass."""
+    pass, keyed by the id pair ``(a, b)`` with ``a < b``: a crossing counts
+    ``sign * count``, each strand pair of a twist box crosses once per half
+    twist, and a through-pass counts as the two crossings of its strand with
+    the round component.  Every pair that meets at some record has a key,
+    even when its total is 0.  A name this pass reads that the diagram
+    lacks raises DiagramError: the first two edges of a geometric crossing,
+    the pair of an abstract one, either edge of a box strand, or the edge
+    of a pass; so does an abstract ``between`` that is not a tuple of two."""
     owner = d.edge_owner()
     ids = {c.id for c in d.components}
-    totals: dict[frozenset, int] = {}
-
-    def add(a, b, v):
-        if a != b:
-            key = frozenset((a, b))
-            totals[key] = totals.get(key, 0) + v
-
+    totals: dict[tuple[str, str], int] = {}
+    # the key and sum are written out in each loop: a helper call per
+    # record is a tenth of this walk on diagrams of abstract records
     for x in d.crossings:
-        if x.is_geometric:
+        edges = x.edges
+        if edges is not None:  # geometric
             try:
-                add(owner[x.edges[0]], owner[x.edges[1]], x.sign)
+                a, b = owner[edges[0]], owner[edges[1]]
             except KeyError as err:
                 raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
+            v = x.sign
         else:
-            # unpacked inline: a _between call per record slows this walk by
-            # a tenth on diagrams of abstract records
-            try:
-                a, b = x.between
-            except (TypeError, ValueError):
-                a, b = _between(x)  # raises DiagramError
+            pair = x.between
+            a, b = pair if type(pair) is tuple and len(pair) == 2 else _between(x)
             if a not in ids or b not in ids:
                 raise DiagramError(f"crossing {x.id}: unknown component in {x.between}")
-            add(a, b, x.sign * x.count)
+            v = x.sign * x.count
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            totals[key] = totals.get(key, 0) + v
+    _check_box_edges(d, owner)
+    for box in d.boxes:
+        for s1, s2 in itertools.combinations(box.strands, 2):
+            a, b = owner[s1.left], owner[s2.left]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                totals[key] = totals.get(key, 0) + box.halftwists * s1.orient * s2.orient
+    for c in d.components:
+        if c.is_round:
+            a = c.id
+            for p in c.through:
+                try:
+                    b = owner[p.edge]
+                except KeyError:
+                    raise DiagramError(
+                        f"component {a}: pass references unknown edge {p.edge!r}"
+                    ) from None
+                if a != b:
+                    key = (a, b) if a < b else (b, a)
+                    totals[key] = totals.get(key, 0) + 2 * p.sign
+    return totals
+
+
+def _check_box_edges(d: Diagram, owner) -> None:
+    """DiagramError naming the first box strand edge missing from ``owner``."""
     for box in d.boxes:
         for s in box.strands:
             for e in (s.left, s.right):
                 if e not in owner:
                     raise DiagramError(f"box {box.id}: unknown edge {e!r}")
-        for s1, s2 in itertools.combinations(box.strands, 2):
-            add(owner[s1.left], owner[s2.left], box.halftwists * s1.orient * s2.orient)
-    for c in d.components:
-        if c.is_round:
-            for p in c.through:
-                if p.edge not in owner:
-                    raise DiagramError(
-                        f"component {c.id}: pass references unknown edge {p.edge!r}"
-                    )
-                add(c.id, owner[p.edge], 2 * p.sign)
-    return totals
 
 
 def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
@@ -777,38 +795,61 @@ def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
     return words
 
 
-def _half(totals: dict[frozenset, int], c1: str, c2: str) -> int:
-    if c1 == c2:
-        raise DiagramError("self-linking is the framing, not a linking number")
-    total = totals.get(frozenset((c1, c2)), 0)
-    if total % 2:
-        raise DiagramError(f"odd signed crossing sum between {c1} and {c2}")
-    return total // 2
+_SELF_LINKING = "self-linking is the framing, not a linking number"
 
 
 def linking_number(d: Diagram, c1: str, c2: str) -> int:
     """Half the signed crossing total of two distinct components, through-
     passes included when one of them is round."""
     d.component(c1), d.component(c2)  # unknown ids raise DiagramError
-    return _half(_crossing_totals(d), c1, c2)
+    if c1 == c2:
+        raise DiagramError(_SELF_LINKING)
+    total = _crossing_totals(d).get((c1, c2) if c1 < c2 else (c2, c1), 0)
+    if total % 2:
+        raise DiagramError(f"odd signed crossing sum between {c1} and {c2}")
+    return total // 2
 
 
 def linking_matrix(d: Diagram, comps: list[str] | None = None) -> list[list[int]]:
-    """Framings on the diagonal (0 for dotted/plain), linking numbers off it."""
+    """Framings on the diagonal (0 for dotted/plain), linking numbers off it.
+
+    One pass over ``_crossing_totals`` fills both halves through an
+    id -> index map.  A fault raises DiagramError; of several, the first in
+    reading order row by row, where row i checks ``comps[i]`` (unknown id,
+    non-integer framing) before its pairs with later entries (a repeated
+    id, an odd total)."""
     if comps is None:
         comps = [c.id for c in d.components]
     totals = _crossing_totals(d)
     n = len(comps)
+    framings = {c.id: c.framing for c in reversed(d.components)}  # first wins
+    index: dict[str, int] = {}
+    faults = []  # (row, 0 for the entry or 1 for a pair, column, message)
     q = [[0] * n for _ in range(n)]
     for i, ci in enumerate(comps):
-        framing = d.component(ci).framing
-        if framing is None:
-            framing = 0
-        elif type(framing) is not int:
-            raise DiagramError(f"component {ci}: framing must be an integer")
-        q[i][i] = framing
-        for j in range(i + 1, n):
-            q[i][j] = q[j][i] = _half(totals, ci, comps[j])
+        try:
+            first = index.setdefault(ci, i)
+        except TypeError:  # unhashable, so no component's id
+            faults.append((i, 0, 0, f"no component {ci!r}"))
+            continue
+        if first != i:
+            faults.append((first, 1, i, _SELF_LINKING))
+        elif ci not in framings:
+            faults.append((i, 0, 0, f"no component {ci!r}"))
+        elif type(framings[ci]) is int:
+            q[i][i] = framings[ci]
+        elif framings[ci] is not None:
+            faults.append((i, 0, 0, f"component {ci}: framing must be an integer"))
+    for (a, b), total in totals.items():
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            continue
+        if total % 2:
+            i, j = min(i, j), max(i, j)
+            faults.append((i, 1, j, f"odd signed crossing sum between {comps[i]} and {comps[j]}"))
+        q[i][j] = q[j][i] = total // 2
+    if faults:
+        raise DiagramError(min(faults)[3])
     return q
 
 
@@ -869,7 +910,9 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
 
 def expand_twistboxes(d: Diagram) -> Diagram:
     """Replace every twist box by explicit crossings (a half-twist braid
-    block per half twist), preserving linking numbers and framings."""
+    block per half twist), preserving linking numbers and framings.  A box
+    strand on an edge that no component declares raises DiagramError."""
+    _check_box_edges(d, d.edge_owner())
     out = normalize(d)
     while out.boxes:
         out = _expand_one_box(out, out.boxes[0])

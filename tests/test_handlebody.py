@@ -662,6 +662,25 @@ def test_unknown_names_are_refused_with_typed_errors(read, error, match):
         read()
 
 
+@pytest.mark.parametrize("between", ["ab", ["a", "b"]])
+def test_a_between_that_is_not_a_tuple_of_two_is_refused(between):
+    d = _stray(records=(Crossing("y", 1, between=between, count=2),))
+    message = "crossing y: abstract crossing needs two components"
+    assert message in pdcode.validate(d)
+    for read in (
+        pdcode.linking_matrix,
+        lambda d: pdcode.linking_number(d, "a", "b"),
+        lambda d: handlebody.invariant_report(Handlebody(d)),
+        handlebody.is_connected,
+        lambda d: handlebody.slide(Handlebody(d), "a", "b"),
+        lambda d: pdcode.reverse_orientation(d, "a"),
+    ):
+        with pytest.raises(pdcode.DiagramError, match=message):
+            read(d)
+    with pytest.raises(handlebody.HandlebodyError, match=message):
+        handlebody.blowdown(Handlebody(d), "u")
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: handlebody.blowup(hopf_handlebody(), True), handlebody.HandlebodyError),
     (lambda: handlebody.blowup(hopf_handlebody(), 1, [("a1", True)]), handlebody.HandlebodyError),

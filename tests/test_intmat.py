@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kirby import handlebody, intmat
+from kirby import dsl, forms, handlebody, intmat, pdcode
 from kirby.pdcode import FRAMED, Component, Crossing, Diagram
 
 from conftest import random_symmetric, random_unimodular
@@ -259,6 +259,104 @@ def fraction_inertia(q):
     return pos, neg, zero
 
 
+def full_matrix_inertia(q):
+    """The earlier inertia: symmetric Bareiss elimination on the full
+    matrix, swapping each pivot to the top-left corner."""
+    if not intmat.is_symmetric(q):
+        raise ValueError("matrix is not symmetric")
+    a = intmat.copy(q)
+    pos = neg = 0
+    prev = 1
+    while a:
+        p = next((i for i in range(len(a)) if a[i][i]), None)
+        if p is None:
+            offdiag = next(
+                ((i, j) for i in range(len(a)) for j in range(i + 1, len(a)) if a[i][j]), None
+            )
+            if offdiag is None:
+                break
+            i, j = offdiag
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            p = i
+        if p:
+            a[0], a[p] = a[p], a[0]
+            for row in a:
+                row[0], row[p] = row[p], row[0]
+        if a[0][0] * prev > 0:
+            pos += 1
+        else:
+            neg += 1
+        prev, a = a[0][0], intmat._bareiss_step(a, prev)
+    return pos, neg, len(q) - pos - neg
+
+
+def direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = intmat.zeros(n, n), 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = list(row)
+        at += len(b)
+    return out
+
+
+def congruent(q, rng, steps=12):
+    """e^T q e for a random unimodular e: the same inertia, other entries."""
+    e, _ = random_unimodular(len(q), rng, steps)
+    return intmat.matmul(intmat.matmul(intmat.transpose(e), q), e)
+
+
+def permuted(q, rng):
+    order = rng.sample(range(len(q)), len(q))
+    return [[q[i][j] for j in order] for i in order]
+
+
+def inertia_subjects():
+    """Seeded symmetric matrices up to 12 x 12: all-zero diagonals (random,
+    and sums of H blocks in shuffled order), degenerate ones of every rank,
+    and E8 blocks, bare, summed with H and +-1 and disguised."""
+    rng = random.Random(0x1E27)
+    h = [[0, 1], [1, 0]]
+    e8, e8m = forms.e8_form().rows, forms.e8_form(-1).rows
+    out = []
+    for n in range(1, 13):
+        q = random_symmetric(n, rng)
+        for i in range(n):
+            q[i][i] = 0
+        out.append(q)
+    for k in range(1, 7):
+        out.append(permuted(direct_sum(*[h] * k), rng))
+        out.append(permuted(direct_sum(*[h] * k, *[[[0]]] * (12 - 2 * k)), rng))
+    for n in range(1, 13):
+        for r in range(n + 1):
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+            dq = [rng.choice((1, -1, 2, -3)) for _ in range(r)]
+            out.append(
+                [[sum(b[t][i] * dq[t] * b[t][j] for t in range(r)) for j in range(n)]
+                 for i in range(n)]
+            )
+    for q in (e8, e8m, direct_sum(e8, h), direct_sum(e8m, h, h), direct_sum(e8, [[-1]]),
+              direct_sum([[0]], e8m, [[0]], [[1]])):
+        out += [q, permuted(q, rng), congruent(q, rng)]
+    return out
+
+
+def test_inertia_matches_the_full_matrix_elimination():
+    for q in inertia_subjects():
+        want = full_matrix_inertia(q)
+        assert intmat.inertia(q) == want == fraction_inertia(q), q
+
+
+def test_inertia_of_a_64_component_link_matches_both_oracles():
+    w = _bench_workloads()
+    spec = w.link_spec(random.Random(64064), 64)
+    q = pdcode.linking_matrix(dsl.parse(w.link_kd("L64", spec)).diagrams["L64"])
+    assert q == w.link_matrix(spec)
+    assert intmat.inertia(q) == full_matrix_inertia(q) == fraction_inertia(q)
+
+
 @st.composite
 def symmetric_matrices(draw):
     """Up to 8x8, optionally with a zero diagonal, optionally singular."""
@@ -290,7 +388,7 @@ def integer_matrices(draw):
 @SEEDED
 @given(symmetric_matrices())
 def test_inertia_matches_fraction_elimination(q):
-    assert intmat.inertia(q) == fraction_inertia(q)
+    assert intmat.inertia(q) == full_matrix_inertia(q) == fraction_inertia(q)
 
 
 @SEEDED

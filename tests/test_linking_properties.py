@@ -2,6 +2,7 @@
 the one-pass linking matrix, and the moves that write them."""
 
 import itertools
+from dataclasses import replace
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,16 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=6
 
 def reference_linking_number(d, c1, c2):
     """Per-pair scan in which every crossing record counts once."""
+    d.component(c1), d.component(c2)
+    return reference_half(d, c1, c2)
+
+
+def reference_half(d, c1, c2):
+    """The per-pair scan of ``reference_linking_number``, in which an id
+    that no component carries meets no record."""
     if c1 == c2:
         raise pdcode.DiagramError("self-linking is the framing, not a linking number")
-    a, b = d.component(c1), d.component(c2)
+    a, b = (next((c for c in d.components if c.id == cid), None) for cid in (c1, c2))
     owner = d.edge_owner()
     total = 0
     for x in d.crossings:
@@ -40,10 +48,35 @@ def reference_linking_number(d, c1, c2):
         raise pdcode.DiagramError(f"odd signed crossing sum between {c1} and {c2}")
     lk = total // 2
     for round_c, other in ((a, b), (b, a)):
-        if round_c.is_round:
+        if round_c is not None and other is not None and round_c.is_round:
             other_edges = set(other.edges)
             lk += sum(p.sign for p in round_c.through if p.edge in other_edges)
     return lk
+
+
+def per_pair_linking_matrix(d, comps):
+    """The earlier linking matrix: row by row, a component lookup for the
+    entry and a per-pair scan for each later entry of the row."""
+    n = len(comps)
+    q = [[0] * n for _ in range(n)]
+    for i, ci in enumerate(comps):
+        framing = d.component(ci).framing
+        if framing is None:
+            framing = 0
+        elif type(framing) is not int:
+            raise pdcode.DiagramError(f"component {ci}: framing must be an integer")
+        q[i][i] = framing
+        for j in range(i + 1, n):
+            q[i][j] = q[j][i] = reference_half(d, ci, comps[j])
+    return q
+
+
+def outcome(read, *args):
+    """What ``read`` returns, or the message of the DiagramError it raises."""
+    try:
+        return read(*args)
+    except pdcode.DiagramError as err:
+        return f"DiagramError: {err}"
 
 
 def unit_records(d):
@@ -95,8 +128,9 @@ def diagrams(draw):
         for k in range(draw(st.integers(0, 8))):
             a, b = draw(st.sampled_from(pairs))
             count = draw(st.sampled_from((1, 1, 2, 3, 4)))
+            between = (a, b) if draw(st.booleans()) else (b, a)
             crossings.append(
-                Crossing(f"y{k}", draw(st.sampled_from((1, -1))), between=(a, b), count=count)
+                Crossing(f"y{k}", draw(st.sampled_from((1, -1))), between=between, count=count)
             )
             parity[(a, b)] = parity.get((a, b), 0) + count
     boxes = []
@@ -116,8 +150,8 @@ def diagrams(draw):
 
 
 @SEEDED
-@given(diagrams())
-def test_one_pass_linking_matrix_matches_per_pair_scan(d):
+@given(diagrams(), st.data())
+def test_one_pass_linking_matrix_matches_per_pair_scan(d, data):
     ids = [c.id for c in d.components]
     units = unit_records(d)
     want = [
@@ -130,6 +164,39 @@ def test_one_pass_linking_matrix_matches_per_pair_scan(d):
     assert pdcode.linking_matrix(d) == want
     for a, b in itertools.combinations(ids, 2):
         assert pdcode.linking_number(d, a, b) == want[ids.index(a)][ids.index(b)]
+
+    # a permuted subset of the components
+    comps = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
+    assert pdcode.linking_matrix(d, comps) == per_pair_linking_matrix(units, comps)
+
+    # repeated and unknown ids fail with the earlier message
+    faulty = list(comps)
+    for cid in data.draw(st.lists(st.sampled_from(comps + ["zz", "c9"]), min_size=1, max_size=3)):
+        faulty.insert(data.draw(st.integers(0, len(faulty))), cid)
+    got = outcome(pdcode.linking_matrix, d, faulty)
+    assert got == outcome(per_pair_linking_matrix, units, faulty)
+    assert got.startswith("DiagramError: ")
+
+    # odd totals: of several, the first pair in the order of comps is named
+    pairs = list(itertools.combinations(ids, 2))
+    flipped = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    odd = replace(d, crossings=d.crossings + tuple(
+        Crossing(f"o{k}", data.draw(st.sampled_from((1, -1))), between=p)
+        for k, p in enumerate(flipped)
+    ))
+    odd_units = unit_records(odd)
+    for order in (ids, comps, faulty):
+        got = outcome(pdcode.linking_matrix, odd, order)
+        assert got == outcome(per_pair_linking_matrix, odd_units, order)
+        if len(set(order)) < len(order) or not set(order) <= set(ids):
+            continue
+        first = next(
+            ((a, b) for a, b in itertools.combinations(order, 2)
+             if (a, b) in flipped or (b, a) in flipped),
+            None,
+        )
+        if first is not None:
+            assert got == "DiagramError: odd signed crossing sum between {} and {}".format(*first)
 
 
 @SEEDED

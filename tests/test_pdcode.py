@@ -81,11 +81,13 @@ def test_validate_rejects_duplicate_ids_and_bad_references():
     dup = Diagram(
         "bad",
         (
-            Component("a", FRAMED, 0, edges=("e1",)),
-            Component("a", FRAMED, 0, edges=("e2",)),
+            Component("a", FRAMED, 1, edges=("e1",)),
+            Component("a", FRAMED, 2, edges=("e2",)),
         ),
     )
     assert pdcode.validate(dup)
+    # the linking matrix reads the first component of a repeated id
+    assert pdcode.linking_matrix(dup, ["a"]) == [[1]]
     dangling = Diagram(
         "bad2",
         (Component("a", FRAMED, 0, edges=("e1", "e2")),),
@@ -260,6 +262,22 @@ def test_validate_checks_crossing_counts():
     assert any("count 1" in p for p in pdcode.validate(d))
 
 
+def test_validate_reports_odd_pairs_in_component_order():
+    # component order c, a, b differs from the order of the id pairs
+    comps = tuple(Component(c, FRAMED, 0) for c in "cab")
+    records = tuple(
+        Crossing(f"y{k}", 1, between=pair, count=count)
+        for k, (pair, count) in enumerate(
+            ((("b", "a"), 3), (("a", "c"), 1), (("b", "c"), 5), (("c", "a"), 2))
+        )
+    )
+    assert pdcode.validate(Diagram("odd", comps, records)) == [
+        "components c,a: odd crossing count 3",
+        "components c,b: odd crossing count 5",
+        "components a,b: odd crossing count 3",
+    ]
+
+
 def test_counted_record_links_like_its_unit_records():
     comps = (Component("a", FRAMED, 0), Component("b", FRAMED, 0))
     units = Diagram("u", comps, tuple(
@@ -288,6 +306,26 @@ def test_crossing_on_unknown_edge_is_a_diagram_error():
     ):
         with pytest.raises(pdcode.DiagramError, match="crossing x: unknown edge 'e9'"):
             read()
+
+
+@pytest.mark.parametrize("halftwists", [0, 1, 3, -2])
+def test_expansion_refuses_a_box_on_undeclared_edges(halftwists):
+    from kirby import grouppres
+
+    bare = Diagram("bare", boxes=(
+        TwistBox("B", halftwists, (BoxStrand("p", "q"), BoxStrand("r", "s"))),
+    ))
+    one_strand = Diagram("one", boxes=(TwistBox("B", halftwists, (BoxStrand("p", "q"),)),))
+    half_declared = Diagram(
+        "half",
+        (Component("k", FRAMED, 0, edges=("k1", "k2")),),
+        boxes=(TwistBox("B", halftwists, (BoxStrand("k1", "k2"), BoxStrand("k2", "p"))),),
+    )
+    for d in (bare, one_strand, half_declared):
+        assert "box B: unknown edge 'p'" in pdcode.validate(d)
+        for read in (pdcode.expand_twistboxes, grouppres.wirtinger):
+            with pytest.raises(pdcode.DiagramError, match="^box B: unknown edge 'p'$"):
+                read(d)
 
 
 def torus_knot(halftwists=5):
@@ -588,9 +626,29 @@ def outcome(f, *args):
         return type(err), str(err)
 
 
+def undeclared_box_edge(d: Diagram) -> tuple[str, str] | None:
+    """(box id, edge) of the first box strand edge that no component
+    declares, or None."""
+    owner = d.edge_owner()
+    return next(
+        (
+            (b.id, e)
+            for b in d.boxes for s in b.strands for e in (s.left, s.right)
+            if e not in owner
+        ),
+        None,
+    )
+
+
 def test_expansion_matches_splicing_reference():
     subjects = expansion_subjects()
     for d in subjects:
-        assert outcome(pdcode.expand_twistboxes, d) == outcome(spliced_expansion, d), d.name
+        got = outcome(pdcode.expand_twistboxes, d)
+        stray = undeclared_box_edge(d)
+        if stray is None:
+            assert got == outcome(spliced_expansion, d), d.name
+        else:
+            # refused before the box is expanded or dissolved
+            assert got == (pdcode.DiagramError, "box {}: unknown edge {!r}".format(*stray)), d.name
     # most of them are genuine boxed diagrams, not refusals on both sides
     assert sum(not pdcode.validate(d) and bool(d.boxes) for d in subjects) > 100
