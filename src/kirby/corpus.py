@@ -199,7 +199,7 @@ class CorpusCase:
     trust: str  # "replayed" | "trusted-endpoints"
 
 
-def cases() -> dict[str, CorpusCase]:
+def _registry() -> dict[str, CorpusCase]:
     out: dict[str, CorpusCase] = {}
 
     def add(name, kind, trust="replayed"):
@@ -226,10 +226,18 @@ def cases() -> dict[str, CorpusCase]:
     return out
 
 
+_CASES = _registry()
+
+
+def cases() -> dict[str, CorpusCase]:
+    """The case registry, as a fresh dict the caller may change."""
+    return dict(_CASES)
+
+
 def compute_case(name: str, doc: dsl.Document | None = None) -> dict:
     if doc is None:
         doc = load_document()
-    case = cases().get(name)
+    case = _CASES.get(name)
     if case is None:
         raise KeyError(f"unknown corpus case {name!r}")
     if case.kind == "diagram":
@@ -305,12 +313,11 @@ class CorpusReport:
 def verify_corpus(names=None, doc: dsl.Document | None = None) -> CorpusReport:
     if doc is None:
         doc = load_document()
-    registry = cases()
     if names is None:
-        names = sorted(registry)
+        names = sorted(_CASES)
     results = []
     for name in names:
-        if name not in registry:
+        if name not in _CASES:
             results.append(CaseResult(name, False, (f"unknown case {name!r}",)))
             continue
         try:
@@ -336,9 +343,8 @@ def _normalize(value):
 def regenerate(names=None) -> list[str]:
     """Recompute and freeze the expected reports (maintenance helper)."""
     doc = load_document()
-    registry = cases()
     if names is None:
-        names = sorted(registry)
+        names = sorted(_CASES)
     written = []
     root = data_root() / "expected"
     for name in names:

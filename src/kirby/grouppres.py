@@ -455,13 +455,11 @@ def tietze_equivalent(
 
 @functools.lru_cache(maxsize=None)
 def _perm_table(n: int):
-    """S_n as (elems, index, table, inverse, classes), built on first use
-    for each n and shared read-only afterwards.
+    """S_n as (elems, index, table, inverse), built on first use for each
+    n and shared read-only afterwards.
 
     ``elems`` are the sorted one-line tuples and ``index`` their positions.
     ``table[p][q]`` is the index of p∘q, with (p∘q)(k) = p(q(k)).
-    ``classes`` holds (representative, class size) for each conjugacy
-    class, the representatives ascending.
     """
     elems = tuple(sorted(itertools.permutations(range(n))))
     index = {p: i for i, p in enumerate(elems)}
@@ -474,14 +472,35 @@ def _perm_table(n: int):
         for a, b in enumerate(p):
             inv[b] = a
         inverse.append(index[tuple(inv)])
-    classes = []
+    return elems, MappingProxyType(index), table, tuple(inverse)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbits(n: int, group: tuple[int, ...]) -> tuple:
+    """The orbits of a subgroup of S_n acting on S_n by conjugation, as
+    (representative, orbit size, stabilizer) for each orbit, filled in on
+    first use for each (n, group).
+
+    ``group`` and each stabilizer are ascending tuples of table indices;
+    the representatives are the least index of their orbits, ascending.
+    With ``group`` all of S_n these are the conjugacy classes and the
+    centralizers of their representatives.
+    """
+    _, _, table, inverse = _perm_table(n)
     seen = set()
-    for x in range(len(elems)):
+    out = []
+    for x in range(len(table)):
         if x not in seen:
-            cls = {table[table[s][x]][inverse[s]] for s in range(len(elems))}
-            seen |= cls
-            classes.append((x, len(cls)))
-    return elems, MappingProxyType(index), table, tuple(inverse), tuple(classes)
+            orbit = set()
+            stabilizer = []
+            for h in group:
+                y = table[table[h][x]][inverse[h]]
+                orbit.add(y)
+                if y == x:
+                    stabilizer.append(h)
+            seen |= orbit
+            out.append((x, len(orbit), tuple(stabilizer)))
+    return tuple(out)
 
 
 def evaluate_word(w: Word, images, table, inverse, identity: int) -> int:
@@ -508,26 +527,32 @@ def enumerate_homs(g: GroupPresentation, n: int, witnesses: bool = True) -> Quot
     surjective ones.  The counts are exact.
 
     A depth-first search binds the generators one at a time and checks
-    each relator as soon as its last generator has an image.  The first
-    generator takes only one representative of each conjugacy class, and
-    its branch counts the class size times: conjugating by s maps the
-    homomorphisms sending it to x one-to-one onto those sending it to
-    s x s^-1, and keeps surjectivity.  The witnesses are all conjugates of
-    the surjective homomorphisms found, ordered by their images as in
-    ``itertools.product`` over the sorted elements of S_n.
+    each relator as soon as its last generator has an image.  It walks a
+    stabilizer chain: at each level H is the subgroup of S_n that fixes
+    every image bound so far under conjugation (all of S_n at the first
+    level).  The next generator takes only one representative x of each
+    orbit of H acting on S_n by conjugation, its branch counts the orbit
+    size times, and the level below runs with H replaced by the stabilizer
+    of x in H.  Conjugating by h in H fixes the bound images, so it maps
+    the assignments that bind x one-to-one onto those that bind h x h^-1,
+    and keeps relators and surjectivity; each leaf therefore stands for
+    its whole S_n-conjugacy class of homomorphisms, and its weight is that
+    class's size.  Once H is trivial every orbit is a single element.  The
+    witnesses are all conjugates of the surjective homomorphisms found,
+    ordered by their images as in ``itertools.product`` over the sorted
+    elements of S_n.
     """
     if n < 1 or n > 6:
         raise GroupError("supported range is 1 <= n <= 6")
-    elems, index, table, inverse, classes = _perm_table(n)
+    elems, index, table, inverse = _perm_table(n)
     identity = index[tuple(range(n))]
     order = len(elems)
     plan = _binding_order(g)
     images = [identity] * g.rank
-    anything = [(x, 1) for x in range(order)]
     total = surj = 0
     found = []
 
-    def bind(level: int, weight: int) -> None:
+    def bind(level: int, weight: int, group: tuple[int, ...]) -> None:
         nonlocal total, surj
         if level == len(plan):
             total += weight
@@ -537,15 +562,15 @@ def enumerate_homs(g: GroupPresentation, n: int, witnesses: bool = True) -> Quot
                     found.append(tuple(images))
             return
         gen, rels = plan[level]
-        for x, size in classes if level == 0 else anything:
+        for x, size, stabilizer in _orbits(n, group):
             images[gen] = x
             for r in rels:
                 if evaluate_word(r, images, table, inverse, identity) != identity:
                     break
             else:
-                bind(level + 1, weight * size)
+                bind(level + 1, weight * size, stabilizer)
 
-    bind(0, 1)
+    bind(0, 1, tuple(range(order)))
     conjugates = sorted({
         tuple(table[table[s][x]][inverse[s]] for x in h) for h in found for s in range(order)
     })

@@ -24,6 +24,20 @@ def test_registry_and_full_verification(doc):
     assert d["ok"] and set(d["cases"]) == set(registry)
 
 
+def test_registry_copies_do_not_leak(doc):
+    first = corpus.cases()
+    assert first == corpus.cases() and first is not corpus.cases()
+    assert first["K_0"] == corpus.CorpusCase("K_0", "knot", "replayed")
+    assert first["rho_m2"].trust == "trusted-endpoints"
+    first.clear()
+    first["bogus"] = corpus.CorpusCase("bogus", "knot", "replayed")
+    assert len(corpus.cases()) == 61 and "bogus" not in corpus.cases()
+    report = corpus.verify_corpus(["K_0", "bogus"], doc=doc)
+    assert [r.ok for r in report.results] == [True, False]
+    assert "unknown case" in report.results[1].diffs[0]
+    assert [r.name for r in corpus.verify_corpus(doc=doc).results] == sorted(corpus.cases())
+
+
 def test_verification_is_order_independent(doc):
     names = sorted(corpus.cases())[:6]
     fwd = corpus.verify_corpus(names, doc=doc)

@@ -3,6 +3,7 @@ presentations read off diagrams."""
 
 import contextlib
 import itertools
+import math
 import signal
 
 import pytest
@@ -58,7 +59,7 @@ def count_homs_oracle(g: GroupPresentation, n: int) -> int:
 
 def enumerate_homs_oracle(g: GroupPresentation, n: int, witnesses: bool = True):
     """Every one of the |S_n|^rank assignments, in product order."""
-    elems, index, table, inverse, _ = grouppres._perm_table(n)
+    elems, index, table, inverse = grouppres._perm_table(n)
     identity = index[tuple(range(n))]
     order = len(elems)
     total = surj = 0
@@ -75,6 +76,51 @@ def enumerate_homs_oracle(g: GroupPresentation, n: int, witnesses: bool = True):
             if witnesses:
                 found.append(tuple(elems[i] for i in images))
     return grouppres.QuotientCount(total, surj, tuple(found))
+
+
+def class_rep_enumerate_homs(g: GroupPresentation, n: int, witnesses: bool = True):
+    """The depth-first search with conjugation invariance at the first
+    binding level only: one representative of each conjugacy class for
+    the first generator, weighted by its class size, and all of S_n for
+    every later generator."""
+    elems, index, table, inverse = grouppres._perm_table(n)
+    identity = index[tuple(range(n))]
+    order = len(elems)
+    classes, seen = [], set()
+    for x in range(order):
+        if x not in seen:
+            cls = {table[table[s][x]][inverse[s]] for s in range(order)}
+            seen |= cls
+            classes.append((x, len(cls)))
+    anything = [(x, 1) for x in range(order)]
+    plan = grouppres._binding_order(g)
+    images = [identity] * g.rank
+    total = surj = 0
+    found = []
+
+    def bind(level, weight):
+        nonlocal total, surj
+        if level == len(plan):
+            total += weight
+            if grouppres._generates(images, table, identity, order):
+                surj += weight
+                if witnesses:
+                    found.append(tuple(images))
+            return
+        gen, rels = plan[level]
+        for x, size in classes if level == 0 else anything:
+            images[gen] = x
+            if all(grouppres.evaluate_word(r, images, table, inverse, identity) == identity
+                   for r in rels):
+                bind(level + 1, weight * size)
+
+    bind(0, 1)
+    conjugates = sorted({
+        tuple(table[table[s][x]][inverse[s]] for x in h) for h in found for s in range(order)
+    })
+    return grouppres.QuotientCount(
+        total, surj, tuple(tuple(elems[x] for x in h) for h in conjugates)
+    )
 
 
 def cyclic_equal_oracle(a, b) -> bool:
@@ -233,10 +279,10 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=1
 
 @st.composite
 def presentations(draw, max_rank=3, max_length=6):
-    """Random relators over at most three generators, with planted copies
-    of some of them, rotated and possibly inverted."""
+    """Random relators over at most ``max_rank`` (up to four) generators,
+    with planted copies of some of them, rotated and possibly inverted."""
     rank = draw(st.integers(0, max_rank))
-    gens = tuple("xyz"[:rank])
+    gens = tuple("xyzw"[:rank])
     if not rank:
         return GroupPresentation.make(gens, ())
     letter = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
@@ -576,6 +622,52 @@ def test_enumerate_homs_matches_brute_force_on_corpus():
         simplified = grouppres.tietze_simplify(g).presentation
         for p, n in ((g, 3), (simplified, 3), (simplified, 4)):
             assert grouppres.enumerate_homs(p, n) == enumerate_homs_oracle(p, n), (name, p, n)
+        for p, n in ((g, 3), (g, 4), (simplified, 5)):
+            assert grouppres.enumerate_homs(p, n) == class_rep_enumerate_homs(p, n), (name, p, n)
+
+
+@st.composite
+def presentations_and_degrees(draw):
+    """A random presentation of rank at most 4 and a degree n <= 5, with
+    the rank capped so that (n!)^(rank - 1) <= 13824, which bounds the
+    assignments the class-representative search may visit."""
+    n = draw(st.integers(1, 5))
+    return draw(presentations(max_rank={4: 3, 5: 2}.get(n, 4))), n
+
+
+@SEEDED
+@given(presentations_and_degrees())
+def test_enumerate_homs_matches_class_representative_search(case):
+    g, n = case
+    assert grouppres.enumerate_homs(g, n) == class_rep_enumerate_homs(g, n)
+    assert grouppres.enumerate_homs(g, n, witnesses=False) == class_rep_enumerate_homs(g, n, False)
+
+
+def test_enumerate_homs_matches_class_representative_search_on_torus_knots():
+    for q in range(3, 23, 2):
+        for k in (q, -q):
+            g = grouppres.wirtinger(torus_knot(k))
+            simplified = grouppres.tietze_simplify(g).presentation
+            cases = [(simplified, n) for n in (3, 4, 5, 6)]
+            if q <= 7:
+                cases += [(g, n) for n in (1, 2, 3, 4, 5)]
+            for p, n in cases:
+                assert grouppres.enumerate_homs(p, n) == class_rep_enumerate_homs(p, n), (k, p, n)
+
+
+def test_free_group_counts_weigh_every_orbit():
+    # every assignment is a homomorphism, so the orbit weights at each
+    # level must add up to n! for the total to be (n!)^rank
+    for rank in (1, 2, 3):
+        g = GroupPresentation.make(tuple("xyz"[:rank]), ())
+        for n in (1, 2, 3, 4, 5):
+            small = math.factorial(n) ** rank <= 14400
+            got = grouppres.enumerate_homs(g, n, witnesses=small)
+            assert got.total == math.factorial(n) ** rank, (rank, n)
+            if small:
+                assert got == enumerate_homs_oracle(g, n), (rank, n)
+            else:  # 120^3 brute-force assignments: compare with the class search
+                assert got.surjective == class_rep_enumerate_homs(g, n, False).surjective
 
 
 def test_perm_table_built_once_per_n():
@@ -587,24 +679,48 @@ def test_perm_table_built_once_per_n():
     info = grouppres._perm_table.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
     for n, partitions in zip(range(1, 6), (1, 2, 3, 5, 7)):
-        elems, _, _, _, classes = grouppres._perm_table(n)
+        elems = grouppres._perm_table(n)[0]
+        classes = grouppres._orbits(n, tuple(range(len(elems))))
         assert len(classes) == partitions
-        assert sum(size for _, size in classes) == len(elems)
+        assert sum(size for _, size, _ in classes) == len(elems)
+        # each stabilizer is the centralizer, of order n!/|class|
+        assert all(size * len(centralizer) == len(elems) for _, size, centralizer in classes)
+
+
+def test_orbit_cache_grows_only_on_new_subgroups():
+    samples = [
+        GroupPresentation.make(("x", "y"), ("x y x^-1 y^-1",)),
+        GroupPresentation.make(("x", "y", "z"), ("x y x y^-1", "z^2")),
+        grouppres.wirtinger(torus_knot(5)),
+    ]
+
+    def run():
+        for g in samples:
+            for n in (1, 2, 3, 4, 5):
+                grouppres.enumerate_homs(g, n)
+
+    grouppres._orbits.cache_clear()
+    run()
+    first = grouppres._orbits.cache_info()
+    run()
+    again = grouppres._orbits.cache_info()
+    assert first.currsize == again.currsize == again.misses > 0
+    assert again.hits > first.hits
 
 
 def test_raw_wirtinger_counts_finish():
-    # brute force walked 24^5 and 120^7 assignments on these
-    for q, n, seconds in ((5, 4, 2), (7, 5, 5)):
+    # brute force walked 24^5, 120^7 and 720^11 assignments on these
+    for q, n, seconds in ((5, 4, 2), (7, 5, 5), (11, 6, 10)):
         g = grouppres.wirtinger(torus_knot(q))
         with deadline(seconds):
             raw = grouppres.enumerate_homs(g, n)
         simplified = grouppres.enumerate_homs(grouppres.tietze_simplify(g).presentation, n)
         assert (raw.total, raw.surjective) == (simplified.total, simplified.surjective)
-        assert (raw.total, raw.surjective) == ({4: 24, 5: 120}[n], 0)
+        assert (raw.total, raw.surjective) == ({4: 24, 5: 120, 6: 720}[n], 0)
 
 
 def test_evaluate_word_composition_order():
-    elems, index, table, inverse, _ = grouppres._perm_table(3)
+    elems, index, table, inverse = grouppres._perm_table(3)
     x = index[(1, 0, 2)]  # transposition (1 2)
     y = index[(0, 2, 1)]  # transposition (2 3)
     identity = index[(0, 1, 2)]
