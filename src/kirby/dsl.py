@@ -29,7 +29,9 @@ One document may contain several blocks:
 `#` starts a comment; declarations end with `;`.  Parse errors carry line
 and column.  Values may be integers, `$param` references, signs `+`/`-`,
 bare identifiers, quoted strings, tuples `( ... )`, and matrices
-`[[...],[...]]`.
+`[[...],[...]]`.  The list-valued keys (`edges`, `between`, `strands`,
+`through`, `passes`) take a parenthesised tuple, and each diagram and
+surface declaration reads only the keys in its row of `_KEYS`.
 """
 
 from __future__ import annotations
@@ -90,44 +92,27 @@ def tokenize(text: str) -> list[Token]:
             if j >= n:
                 raise ParseError("unterminated string", line, start_col)
             out.append(Token("string", text[i + 1:j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _PUNCT:
+            j += 1
+        elif ch in _PUNCT:
             out.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-":
             j = i + 1
-            if j < n and text[j].isdigit():
-                while j < n and text[j].isdigit():
-                    j += 1
-                out.append(Token("int", text[i:j], line, start_col))
-                col += j - i
-                i = j
-            else:
-                out.append(Token("sign", ch, line, start_col))
-                i += 1
-                col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch.isdecimal() or (ch in "+-" and text[i + 1:i + 2].isdecimal()):
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalnum() or ch == "_" or ch == ".":
-            j = i
+        elif ch in "+-":
+            out.append(Token("sign", ch, line, start_col))
+            j = i + 1
+        elif ch.isalnum() or ch in "_.":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] in "_."):
                 j += 1
             out.append(Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, start_col)
+        col += j - i
+        i = j
     return out
 
 
@@ -174,30 +159,89 @@ _SIGNS = {"+": 1, "-": -1, 1: 1, -1: -1}
 
 def _sign(value) -> int | None:
     """+1 or -1 for a sign value, None for anything else (``true`` is not 1)."""
-    return None if isinstance(value, bool) else _SIGNS.get(value)
+    return _SIGNS.get(value) if type(value) in (str, int) else None
 
 
-def _signed_list(kv: dict, key: str, what: str, at: Token) -> list[tuple]:
-    """(name, sign) pairs from the list ``key=(...)``; a bare name means +."""
+_STEP_OPS = {
+    "blowdown",
+    "blowup",
+    "slide",
+    "swap_dot",
+    "cancel",
+    "reidemeister",
+    "isotopy",
+    "track",
+    "transfer_sheets",
+    "surface_slide",
+    "band_slide",
+    "split_tube",
+    "cancel_sum",
+    "assert",
+}
+
+# The keys each diagram and surface declaration reads; any other is refused.
+_KEYS = {
+    "component": ("kind", "framing", "edges", "through"),
+    "box": ("halftwists", "strands"),
+    "cross": ("sign", "over", "edges"),
+    "across": ("sign", "between"),
+    "disk": ("abuts",),
+    "sheet": ("on", "mult", "cap"),
+    "ribbon": ("from", "to", "passes"),
+}
+
+# What one item of each list-valued key is called in error messages.
+_ITEMS = {
+    "edges": "edge",
+    "between": "component",
+    "strands": "box strand",
+    "through": "through entry",
+    "passes": "pass",
+}
+
+
+def _listed(kv: dict, key: str, at: Token) -> tuple:
+    """The items of the list value ``key=(...)``, () when absent.  An item
+    of ``edges`` or ``between`` is a name; one of ``through`` or ``passes``
+    a (name, sign) pair, where a bare name means +; one of ``strands`` a
+    BoxStrand from (left, right, orient).  Anything else is a ParseError
+    at ``at``."""
     items = kv.get(key, ())
-    if not isinstance(items, tuple):
-        raise ParseError(
-            f"{key} must be a parenthesised list, got {items!r}", at.line, at.col
-        )
+    if type(items) is not tuple:
+        raise ParseError(f"{key} must be a parenthesised list, got {items!r}", at.line, at.col)
+    what = _ITEMS[key]
     out = []
     for item in items:
-        if isinstance(item, tuple) and len(item) == 2:
-            sign = _sign(item[1])
-            if sign is None:
+        if key == "strands":
+            if not (
+                type(item) is tuple
+                and len(item) == 3
+                and type(item[0]) is str
+                and type(item[1]) is str
+            ):
                 raise ParseError(
-                    f"{what} sign must be + or -, got {item[1]!r}", at.line, at.col
+                    f"box strand needs (left,right,orient), got {item!r}", at.line, at.col
                 )
-            out.append((item[0], sign))
-        elif isinstance(item, str):
-            out.append((item, 1))
-        else:
+            if type(item[2]) is tuple:  # "+name": the sign took the next name
+                raise ParseError("bad strand orientation", at.line, at.col)
+            item = BoxStrand(item[0], item[1], _need_sign(item[2], "strand orientation", at))
+        elif key in ("through", "passes"):
+            if type(item) is str:
+                item = (item, "+")
+            if not (type(item) is tuple and len(item) == 2 and type(item[0]) is str):
+                raise ParseError(f"bad {what} {item!r}", at.line, at.col)
+            item = (item[0], _need_sign(item[1], f"{what} sign", at))
+        elif type(item) is not str:
             raise ParseError(f"bad {what} {item!r}", at.line, at.col)
-    return out
+        out.append(item)
+    return tuple(out)
+
+
+def _need_sign(value, what: str, at: Token) -> int:
+    sign = _sign(value)
+    if sign is None:
+        raise ParseError(f"{what} must be + or -, got {value!r}", at.line, at.col)
+    return sign
 
 
 class _Parser:
@@ -228,6 +272,24 @@ class _Parser:
         t = self.peek()
         return t is not None and t.kind == kind and (value is None or t.value == value)
 
+    def keyword(self, allowed, expected: str) -> Token:
+        """The next token, a name in ``allowed``; ``expected`` names them."""
+        t = self.take("name")
+        if t.value not in allowed:
+            self.pos -= 1
+            self.error(expected)
+        return t
+
+    def key_follows(self) -> bool:
+        """Whether the next two tokens are ``name =``."""
+        toks, p = self.tokens, self.pos
+        return (
+            p + 1 < len(toks)
+            and toks[p].kind == "name"
+            and toks[p + 1].kind == "punct"
+            and toks[p + 1].value == "="
+        )
+
     # -- values -------------------------------------------------------------
 
     def value(self, params: dict):
@@ -235,67 +297,58 @@ class _Parser:
         t = self.peek()
         if t is None:
             self.error("expected a value")
+        self.pos += 1
         if t.kind == "int":
-            self.pos += 1
             return int(t.value)
         if t.kind == "string":
-            self.pos += 1
             return t.value
         if t.kind == "sign":
-            self.pos += 1
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
             # "+name" is a signed reference, unless the name starts a key=value
-            if self.at("name") and not (
-                nxt is not None and nxt.kind == "punct" and nxt.value == "="
-            ):
-                name = self.take("name").value
-                return (name, 1 if t.value == "+" else -1)
+            if self.at("name") and not self.key_follows():
+                return (self.take().value, 1 if t.value == "+" else -1)
             return t.value  # bare sign, e.g. orientation "+" or "-"
-        if t.kind == "punct" and t.value == "$":
-            self.pos += 1
-            name = self.take("name").value
-            if name not in params:
-                raise ParseError(f"unknown parameter ${name}", t.line, t.col)
-            return params[name]
-        if t.kind == "punct" and t.value == "(":
-            self.pos += 1
-            items = []
-            while not self.at("punct", ")"):
-                items.append(self.value(params))
-                if self.at("punct", ","):
-                    self.pos += 1
-            self.take("punct", ")")
-            return tuple(items)
-        if t.kind == "punct" and t.value == "[":
-            self.pos += 1
-            items = []
-            while not self.at("punct", "]"):
-                items.append(self.value(params))
-                if self.at("punct", ","):
-                    self.pos += 1
-            self.take("punct", "]")
-            return list(items)
         if t.kind == "name":
-            self.pos += 1
             if t.value == "true":
                 return True
             if t.value == "false":
                 return False
             return t.value
+        if t.value == "$":
+            name = self.take("name").value
+            if name not in params:
+                raise ParseError(f"unknown parameter ${name}", t.line, t.col)
+            return params[name]
+        if t.value in "([":
+            close = ")" if t.value == "(" else "]"
+            items = []
+            while not self.at("punct", close):
+                items.append(self.value(params))
+                if self.at("punct", ","):
+                    self.pos += 1
+            self.take("punct", close)
+            return tuple(items) if close == ")" else items
+        self.pos -= 1
         self.error("expected a value")
 
-    def keyvals(self, params: dict, stop=(";",)) -> dict:
-        out = {}
-        while True:
-            t = self.peek()
-            if t is None or (t.kind == "punct" and t.value in stop):
-                return out
-            key = self.take("name").value
+    def declaration(self, kw: Token, params: dict) -> tuple[str, dict]:
+        """The id, ``key=value`` pairs and ``;`` of the declaration that
+        keyword ``kw`` starts; a key outside ``_KEYS[kw.value]`` is refused
+        at ``kw``, as the declaration's other faults are."""
+        did = self.take("name").value
+        keys = _KEYS[kw.value]
+        kv = {}
+        while (t := self.peek()) is not None and not (t.kind == "punct" and t.value == ";"):
+            self.take("name")
             self.take("punct", "=")
-            out[key] = self.value(params)
-
-    def semicolon(self):
+            if t.value not in keys:
+                raise ParseError(
+                    f"unknown {kw.value} key {t.value!r}; expected one of {', '.join(keys)}",
+                    kw.line,
+                    kw.col,
+                )
+            kv[t.value] = self.value(params)
         self.take("punct", ";")
+        return did, kv
 
     def block_name(self) -> str:
         """Block names may be quoted or bare identifiers."""
@@ -308,19 +361,18 @@ class _Parser:
     def document(self) -> Document:
         doc = Document()
         while self.peek() is not None:
-            t = self.take("name")
-            if t.value == "diagram":
+            kw = self.keyword(
+                ("diagram", "surface", "script"), "expected 'diagram', 'surface', or 'script'"
+            )
+            if kw.value == "diagram":
                 d = self.diagram_block()
                 doc.diagrams[d.name] = d
-            elif t.value == "surface":
+            elif kw.value == "surface":
                 s = self.surface_block()
                 doc.surfaces[s.name] = s
-            elif t.value == "script":
+            else:
                 s = self.script_block()
                 doc.scripts[s.name] = s
-            else:
-                self.pos -= 1
-                self.error("expected 'diagram', 'surface', or 'script'")
         return doc
 
     def diagram_block(self) -> Diagram:
@@ -330,147 +382,76 @@ class _Parser:
         components: list[Component] = []
         crossings: list[Crossing] = []
         boxes: list[TwistBox] = []
-        passes: dict[str, list] = {}  # component id -> [(edge, sign)]
+        # passes through each edge so far: a pass's sequence key is its
+        # rank among the passes through its edge, in declaration order
+        seen: dict[str, int] = {}
         while not self.at("punct", "}"):
-            kw = self.take("name")
+            kw = self.keyword(
+                ("param", "component", "box", "cross", "across"), "expected a diagram declaration"
+            )
             if kw.value == "param":
                 pname = self.take("name").value
                 self.take("punct", "=")
                 params[pname] = self.value(params)
-                self.semicolon()
-            elif kw.value == "component":
-                cid = self.take("name").value
-                kv = self.keyvals(params)
-                self.semicolon()
+                self.take("punct", ";")
+                continue
+            did, kv = self.declaration(kw, params)
+            if kw.value == "component":
                 kind = kv.get("kind", "framed")
                 if kind == "dot":
                     kind = pdcode.DOTTED
                 if kind not in (pdcode.FRAMED, pdcode.DOTTED, pdcode.PLAIN):
                     raise ParseError(f"unknown kind {kind!r}", kw.line, kw.col)
-                passes[cid] = _signed_list(kv, "through", "through entry", kw)
+                through = []
+                for e, s in _listed(kv, "through", kw):
+                    seen[e] = seen.get(e, 0) + 1
+                    through.append(Pass(e, s, seen[e] - 1))
+                framing = kv.get("framing") if kind == pdcode.FRAMED else None
                 components.append(
-                    Component(
-                        cid,
-                        kind,
-                        framing=kv.get("framing") if kind == pdcode.FRAMED else None,
-                        edges=tuple(kv.get("edges", ())),
-                    )
+                    Component(did, kind, framing, _listed(kv, "edges", kw), tuple(through))
                 )
             elif kw.value == "box":
-                bid = self.take("name").value
-                kv = self.keyvals(params)
-                self.semicolon()
-                strands = []
-                for item in kv.get("strands", ()):
-                    if not (isinstance(item, tuple) and len(item) == 3):
-                        raise ParseError(
-                            f"box strand needs (left,right,orient), got {item!r}",
-                            kw.line,
-                            kw.col,
-                        )
-                    left, right, orient = item
-                    if isinstance(orient, tuple):  # bare sign token parsed oddly
-                        raise ParseError("bad strand orientation", kw.line, kw.col)
-                    o = _sign(orient)
-                    if o is None:
-                        raise ParseError(
-                            f"strand orientation must be + or -, got {orient!r}",
-                            kw.line,
-                            kw.col,
-                        )
-                    strands.append(BoxStrand(left, right, o))
-                ht = kv.get("halftwists", 0)
-                boxes.append(TwistBox(bid, ht, tuple(strands)))
-            elif kw.value in ("cross", "across"):
-                xid = self.take("name").value
-                kv = self.keyvals(params)
-                self.semicolon()
+                boxes.append(TwistBox(did, kv.get("halftwists", 0), _listed(kv, "strands", kw)))
+            else:
                 sign = _sign(kv.get("sign", "+"))
                 if sign is None:
                     raise ParseError("crossing sign must be + or -", kw.line, kw.col)
                 if kw.value == "cross":
-                    edges = tuple(kv.get("edges", ()))
+                    edges = _listed(kv, "edges", kw)
                     if len(edges) != 4:
-                        raise ParseError(
-                            "cross needs edges=(e1,e2,e3,e4)", kw.line, kw.col
-                        )
-                    crossings.append(
-                        Crossing(xid, sign, edges=edges, over=kv.get("over", 0))
-                    )
+                        raise ParseError("cross needs edges=(e1,e2,e3,e4)", kw.line, kw.col)
+                    crossings.append(Crossing(did, sign, edges=edges, over=kv.get("over", 0)))
                 else:
-                    between = tuple(kv.get("between", ()))
+                    between = _listed(kv, "between", kw)
                     if len(between) != 2:
                         raise ParseError("across needs between=(a,b)", kw.line, kw.col)
-                    crossings.append(Crossing(xid, sign, between=between))
-            else:
-                self.pos -= 1
-                self.error("expected a diagram declaration")
+                    crossings.append(Crossing(did, sign, between=between))
         self.take("punct", "}")
-        # attach passes to round components; sequence keys must be unique
-        # per edge across the whole diagram, in declaration order
-        seq_counter: dict[str, int] = {}
-        final = []
-        for c in components:
-            plist = passes.get(c.id, [])
-            if plist:
-                marks = []
-                for e, s in plist:
-                    k = seq_counter.get(e, 0)
-                    seq_counter[e] = k + 1
-                    marks.append(Pass(e, s, k))
-                c = Component(
-                    c.id,
-                    c.kind,
-                    framing=c.framing,
-                    edges=c.edges,
-                    through=tuple(marks),
-                )
-            final.append(c)
-        return Diagram(name, tuple(final), tuple(crossings), tuple(boxes))
+        return Diagram(name, tuple(components), tuple(crossings), tuple(boxes))
 
     def surface_block(self) -> SurfaceSpec:
         name = self.block_name()
         self.take("name", "on")
         host = self.block_name()
         self.take("punct", "{")
-        disks, sheets, ribbons = [], [], []
+        parts: dict[str, list] = {"disk": [], "sheet": [], "ribbon": []}
         while not self.at("punct", "}"):
-            kw = self.take("name")
-            sid = self.take("name").value
-            kv = self.keyvals({})
-            self.semicolon()
+            kw = self.keyword(parts, "expected disk, sheet, or ribbon")
+            sid, kv = self.declaration(kw, {})
             if kw.value == "disk":
-                disks.append((sid, kv.get("abuts")))
+                parts["disk"].append((sid, kv.get("abuts")))
             elif kw.value == "sheet":
                 mult = _sign(kv.get("mult", "+"))
                 if mult is None:
                     raise ParseError("sheet mult must be + or -", kw.line, kw.col)
-                sheets.append((sid, kv.get("on"), mult, kv.get("cap")))
-            elif kw.value == "ribbon":
-                plist = tuple(_signed_list(kv, "passes", "pass", kw))
-                ribbons.append((sid, kv.get("from"), kv.get("to"), plist))
+                parts["sheet"].append((sid, kv.get("on"), mult, kv.get("cap")))
             else:
-                self.pos -= 1
-                self.error("expected disk, sheet, or ribbon")
+                passes = _listed(kv, "passes", kw)
+                parts["ribbon"].append((sid, kv.get("from"), kv.get("to"), passes))
         self.take("punct", "}")
-        return SurfaceSpec(name, host, tuple(disks), tuple(sheets), tuple(ribbons))
-
-    _STEP_OPS = {
-        "blowdown",
-        "blowup",
-        "slide",
-        "swap_dot",
-        "cancel",
-        "reidemeister",
-        "isotopy",
-        "track",
-        "transfer_sheets",
-        "surface_slide",
-        "band_slide",
-        "split_tube",
-        "cancel_sum",
-        "assert",
-    }
+        return SurfaceSpec(
+            name, host, tuple(parts["disk"]), tuple(parts["sheet"]), tuple(parts["ribbon"])
+        )
 
     def script_block(self) -> MoveScript:
         name = self.block_name()
@@ -478,43 +459,27 @@ class _Parser:
         target = self.block_name()
         self.take("punct", "{")
         steps: list[Step] = []
-        index = 0
         while not self.at("punct", "}"):
-            kw = self.take("name")
-            if kw.value not in self._STEP_OPS:
-                self.pos -= 1
-                self.error("expected a move or assertion")
+            kw = self.keyword(_STEP_OPS, "expected a move or assertion")
             args: dict = {}
             positional = []
-            while not self.at("punct", ";"):
-                t = self.peek()
-                if t is None:
-                    self.error("expected ';'")
-                nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-                if (
-                    t.kind == "name"
-                    and nxt is not None
-                    and nxt.kind == "punct"
-                    and nxt.value == "="
-                ):
-                    key = self.take("name").value
-                    self.take("punct", "=")
-                    args[key] = self.value({})
-                else:
-                    positional.append(self.value({}))
-            self.semicolon()
             flag = "certified"
-            cleaned = []
-            for p in positional:
-                if p in ("trusted-endpoints", "trusted_endpoints"):
-                    flag = "trusted-endpoints"
-                elif p == "certified":
-                    flag = "certified"
+            while not self.at("punct", ";"):
+                if self.peek() is None:
+                    self.error("expected ';'")
+                if self.key_follows():
+                    key = self.take().value
+                    self.pos += 1  # the "="
+                    args[key] = self.value({})
+                    continue
+                p = self.value({})
+                if p in ("certified", "trusted-endpoints", "trusted_endpoints"):
+                    flag = "certified" if p == "certified" else "trusted-endpoints"
                 else:
-                    cleaned.append(p)
-            args["_args"] = tuple(cleaned)
-            steps.append(Step(index, kw.line, kw.value, args, flag))
-            index += 1
+                    positional.append(p)
+            self.take("punct", ";")
+            args["_args"] = tuple(positional)
+            steps.append(Step(len(steps), kw.line, kw.value, args, flag))
         self.take("punct", "}")
         return MoveScript(name, target, tuple(steps))
 

@@ -626,8 +626,12 @@ def wirtinger(d) -> GroupPresentation:
 
     Needs a geometric diagram (boxes expanded, no abstract crossings).
     Round components must be split from everything else; each contributes
-    a free generator.
+    a free generator.  A record field of the wrong type, such as an
+    ``over`` other than 0 or 1, raises GroupError.
     """
+    faults = pdcode._record_faults(d)
+    if faults:
+        raise GroupError(faults[0])
     if d.boxes:
         d = pdcode.expand_twistboxes(d)
     d = pdcode.normalize(d)

@@ -4,9 +4,13 @@ All matrices are lists (or tuples) of rows of Python ints.  Bareiss
 elimination (``det``, ``rank``, ``inertia``) keeps each entry a minor, and
 ``cokernel`` works modulo one nonzero minor, so their entries stay small;
 only ``smith_normal_form``, which must also return U and V, lets entries
-grow (to thousands of bits on 30x30 inputs).  ``det`` and ``rank`` pivot on
-the full matrix; ``inertia``, whose input is symmetric, eliminates on the
-upper triangle alone and so does about half the multiplications.
+grow.  On sixteen 30x30 inputs with entries in [-3, 3] (``randint`` of
+``random.Random(seed)``, row by row, seeds 20-35), U and V reach 2,941
+to 1,787,346 bits (median about 41,000), and the Smith form takes 0.01 s
+to 11.5 s where ``cokernel`` takes about 4 ms (Python 3.11, one core of
+an AMD EPYC).  ``det`` and ``rank`` pivot on the full matrix;
+``inertia``, whose input is symmetric, eliminates on the upper triangle
+alone and so does about half the multiplications.
 """
 
 from __future__ import annotations

@@ -552,10 +552,38 @@ def _between(x: Crossing) -> tuple[str, str]:
     return pair
 
 
+def _record_faults(d: Diagram) -> list[str]:
+    """The record fields of d that have the wrong type: an edge name that is
+    not a string, an ``over`` that is not the int 0 or 1, and a
+    ``halftwists`` that is not an int (``True`` is not an int here)."""
+    out = []
+    names = [
+        (f"component {c.id}", c.edges + tuple(p.edge for p in c.through)) for c in d.components
+    ]
+    for x in d.crossings:
+        if x.edges is not None:
+            names.append((f"crossing {x.id}", x.edges))
+            if type(x.over) is not int or x.over not in (0, 1):
+                out.append(f"crossing {x.id}: over must be 0 or 1, got {x.over!r}")
+    for b in d.boxes:
+        names.append((f"box {b.id}", tuple(e for s in b.strands for e in (s.left, s.right))))
+        if type(b.halftwists) is not int:
+            out.append(f"box {b.id}: halftwists must be an integer, got {b.halftwists!r}")
+    out += [
+        f"{what}: edge name {e!r} is not a string"
+        for what, edges in names
+        for e in edges
+        if type(e) is not str
+    ]
+    return out
+
+
 def validate(d: Diagram) -> list[str]:
     """All diagram invariants; returns human-readable violations (empty for
     a valid diagram)."""
-    out: list[str] = []
+    out = _record_faults(d)
+    if out:
+        return out  # the checks below index by these fields
     seen_ids: set[str] = set()
     for c in d.components:
         if c.id in seen_ids:
@@ -911,7 +939,11 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
 def expand_twistboxes(d: Diagram) -> Diagram:
     """Replace every twist box by explicit crossings (a half-twist braid
     block per half twist), preserving linking numbers and framings.  A box
-    strand on an edge that no component declares raises DiagramError."""
+    strand on an edge that no component declares raises DiagramError, as
+    does a record field of the wrong type (``validate`` lists those)."""
+    faults = _record_faults(d)
+    if faults:
+        raise DiagramError(faults[0])
     _check_box_edges(d, d.edge_owner())
     out = normalize(d)
     while out.boxes:

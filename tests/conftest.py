@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,16 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 12):
         for row in inv:
             row[j] -= c * row[i]
     return m, inv
+
+
+def bench_workloads():
+    """The benchmark's input generators (bench/workloads.py, stdlib only)."""
+    if "bench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["bench_workloads"]
 
 
 def random_symmetric(n: int, rng: random.Random, lo: int = -3, hi: int = 3):

@@ -1,12 +1,9 @@
 """Exact integer linear algebra, checked against sympy and the earlier code."""
 
-import importlib.util
 import random
 import signal
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -16,23 +13,13 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from kirby import dsl, forms, handlebody, intmat, pdcode
 from kirby.pdcode import FRAMED, Component, Crossing, Diagram
 
-from conftest import random_symmetric, random_unimodular
+from conftest import bench_workloads, random_symmetric, random_unimodular
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
-def _bench_workloads():
-    """The benchmark's input generators (bench/workloads.py, stdlib only)."""
-    if "bench_workloads" not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[spec.name])
-    return sys.modules["bench_workloads"]
-
-
 def benchmark_link_matrix(seed, n):
-    w = _bench_workloads()
+    w = bench_workloads()
     return w.link_matrix(w.link_spec(random.Random(seed), n))
 
 
@@ -350,7 +337,7 @@ def test_inertia_matches_the_full_matrix_elimination():
 
 
 def test_inertia_of_a_64_component_link_matches_both_oracles():
-    w = _bench_workloads()
+    w = bench_workloads()
     spec = w.link_spec(random.Random(64064), 64)
     q = pdcode.linking_matrix(dsl.parse(w.link_kd("L64", spec)).diagrams["L64"])
     assert q == w.link_matrix(spec)

@@ -1,11 +1,12 @@
 """Framed-link diagram structure, validation, and Reidemeister moves."""
 
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
 
-from kirby import pdcode
+from kirby import grouppres, pdcode
 from kirby.pdcode import (
     BoxStrand,
     Component,
@@ -204,6 +205,121 @@ def test_reidemeister_dispatcher_and_errors():
         pdcode.reidemeister(d, "R9", ("insert",))
     with pytest.raises(pdcode.MoveError):
         pdcode.r1_remove(hopf(), "x1")  # not a kink
+
+
+def test_reidemeister_dispatches_every_move():
+    kinked = pdcode.reidemeister(unknot(), "R1", ("insert", "a1", 1))
+    (kink,) = (x.id for x in kinked.crossings)
+    assert pdcode.reidemeister(kinked, "r1", ("remove", kink)) == pdcode.r1_remove(kinked, kink)
+    two = Diagram(
+        "two",
+        (Component("a", FRAMED, 0, edges=("a1",)), Component("b", FRAMED, 0, edges=("b1",))),
+    )
+    poked = pdcode.reidemeister(two, "R2", ("insert", "a1", "b1"))
+    assert poked == pdcode.r2_insert(two, "a1", "b1")
+    x1, x2 = (x.id for x in poked.crossings)
+    back = pdcode.reidemeister(poked, "R2", ("remove", x1, x2))
+    assert back == pdcode.r2_remove(poked, x1, x2)
+    assert back.crossings == ()
+    e = three_strand_braid()
+    assert pdcode.reidemeister(e, "R3", ("Xx0", "Xx1", "Xx2")) == pdcode.r3(e, "Xx0", "Xx1", "Xx2")
+    for move, site in (("R1", ("twist", "a1")), ("R2", ("swap", "a1", "b1"))):
+        with pytest.raises(pdcode.MoveError, match="unknown move"):
+            pdcode.reidemeister(two, move, site)
+
+
+def test_validate_states_each_fault():
+    h, c = hopf(), clasp()
+    x1 = h.crossings[0]
+    cases = [
+        (Diagram("d", (Component("a", "weird", None),)), "component a: unknown kind 'weird'"),
+        (
+            Diagram("d", (Component("m", DOTTED, 3),)),
+            "component m: only framed components carry framings",
+        ),
+        (
+            Diagram("d", (Component("m", DOTTED, None, edges=("m1",)),)),
+            "component m: dotted circles must be round-encoded",
+        ),
+        (
+            Diagram("d", (Component("a", FRAMED, 0, edges=("a1",), through=(Pass("a1"),)),)),
+            "component a: through-passes only on round components",
+        ),
+        (
+            Diagram(
+                "d",
+                (Component("a", FRAMED, 0, edges=("a1",)), Component("b", FRAMED, 0, edges=("a1",))),
+            ),
+            "edge a1: used by components a and b",
+        ),
+        (
+            Diagram(
+                "d",
+                (
+                    Component("a", FRAMED, 0, edges=("a1",)),
+                    Component("m", DOTTED, through=(Pass("a1"), Pass("a1", -1))),
+                ),
+            ),
+            "edge a1: duplicate pass sequence key 0",
+        ),
+        (
+            replace(h, crossings=h.crossings + (replace(x1, id="x3"),)),
+            "edge a1: appears 3 times at vertices (expected 2)",
+        ),
+        (
+            replace(c, boxes=(replace(c.boxes[0], strands=(BoxStrand("e1", "e2", 1),
+                                                            BoxStrand("e3", "e4", 1))),)),
+            "box B strand 1: declared orientation contradicts the component cycle",
+        ),
+        (
+            replace(h, crossings=(replace(x1, sign=-1), h.crossings[1])),
+            "crossing x1: declared sign -1 contradicts planar handedness +1",
+        ),
+        (
+            replace(h, crossings=(replace(x1, over=2), h.crossings[1])),
+            "crossing x1: over must be 0 or 1, got 2",
+        ),
+        (
+            replace(h, crossings=(replace(x1, over=True), h.crossings[1])),
+            "crossing x1: over must be 0 or 1, got True",
+        ),
+        (
+            replace(c, boxes=(replace(c.boxes[0], halftwists="x"),)),
+            "box B: halftwists must be an integer, got 'x'",
+        ),
+        (
+            replace(c, boxes=(replace(c.boxes[0], halftwists=True),)),
+            "box B: halftwists must be an integer, got True",
+        ),
+        (
+            Diagram("d", (Component("a", FRAMED, 0, edges=(1,)),)),
+            "component a: edge name 1 is not a string",
+        ),
+        (
+            replace(h, crossings=(replace(x1, edges=("a1", ["b1"], "a2", "b2")), h.crossings[1])),
+            "crossing x1: edge name ['b1'] is not a string",
+        ),
+        (
+            replace(c, boxes=(replace(c.boxes[0], strands=(BoxStrand("e1", 2, 1),)),)),
+            "box B: edge name 2 is not a string",
+        ),
+    ]
+    for d, message in cases:
+        assert message in pdcode.validate(d), message
+
+
+def test_mistyped_records_are_refused_by_expansion_and_wirtinger():
+    h, c = hopf(), clasp()
+    for d in (
+        replace(h, crossings=(replace(h.crossings[0], over=2), h.crossings[1])),
+        replace(c, boxes=(replace(c.boxes[0], halftwists="x"),)),
+        Diagram("d", (Component("a", FRAMED, 0, edges=(1,)),)),
+    ):
+        (fault,) = pdcode.validate(d)
+        with pytest.raises(pdcode.DiagramError, match=re.escape(fault)):
+            pdcode.expand_twistboxes(d)
+        with pytest.raises(grouppres.GroupError, match=re.escape(fault)):
+            grouppres.wirtinger(d)
 
 
 def test_mirror_is_involution():

@@ -2,9 +2,11 @@
 
 import pytest
 
-from kirby import dsl, handlebody, script
+from kirby import dsl, handlebody, pdcode, script
 from kirby.handlebody import Handlebody
 from kirby.pdcode import Component, Diagram, FRAMED
+
+from test_pdcode import torus_knot
 
 
 def make_resolver(doc):
@@ -142,6 +144,20 @@ def test_certified_isotopy_reduces_reidemeister_kinks():
     """
     )
     assert report.ok, report.steps[-1].detail
+
+
+def test_certified_isotopy_cancels_a_bigon():
+    # T(2,5) with a cancelling bigon on the face of k1 and w3: no crossing
+    # is a kink, so the R2 pass of the certified search brings the two
+    # endpoints together
+    knot = pdcode.expand_twistboxes(torus_knot())
+    text = "script moves on torus { reidemeister R2 site=(insert, k1, w3); isotopy to=torus; }"
+    doc = dsl.Document(diagrams={"torus": knot})
+    report = script.run(dsl.parse(text).scripts["moves"], Handlebody(knot), resolve=make_resolver(doc))
+    assert report.ok, report.steps[-1].detail
+    poked = pdcode.r2_insert(knot, "k1", "w3")
+    assert len(poked.crossings) == 7
+    assert len(script._greedy_reduce(poked, 100).crossings) == 5
 
 
 def test_certified_isotopy_rejects_different_encodings():
