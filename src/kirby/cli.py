@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import corpus, dsl, grouppres, pdcode
 from . import handlebody as hb
@@ -146,13 +147,7 @@ def cmd_form(args) -> int:
             lines.append(f"{name}: undefined ({exc})")
             continue
         c = form.classify()
-        payload[name] = {
-            "matrix": [list(r) for r in form.matrix],
-            "rank": c.rank,
-            "signature": c.signature,
-            "parity": c.parity,
-            "definiteness": c.definiteness,
-        }
+        payload[name] = {"matrix": [list(r) for r in form.matrix], **asdict(c)}
         lines.append(
             f"{name}: rank {c.rank}, signature {c.signature}, "
             f"{c.parity}, {c.definiteness}"

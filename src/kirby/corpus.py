@@ -69,14 +69,17 @@ def _knot_case(doc: dsl.Document, name: str) -> dict:
     out = _diagram_case(doc, name)
     if out["validate"]:
         return out
-    g = grouppres.wirtinger(doc.diagrams[name])
+    out["wirtinger"] = _s3_summary(grouppres.wirtinger(doc.diagrams[name]))
+    return out
+
+
+def _s3_summary(g: grouppres.GroupPresentation) -> dict:
     qc = grouppres.enumerate_homs(g, 3)
-    out["wirtinger"] = {
+    return {
         "abelianization": str(g.abelianization()),
         "s3_total": qc.total,
         "s3_surjective": qc.surjective,
     }
-    return out
 
 
 def _cork_case(doc: dsl.Document, name: str) -> dict:
@@ -107,13 +110,10 @@ def _ribbon_case(doc: dsl.Document, name: str) -> dict:
     out["connected"] = sf.is_connected_surface(s)
     comp = sf.ribbon_complement(s)
     g = hb.fundamental_group(comp)
-    qc = grouppres.enumerate_homs(g, 3)
     out["complement"] = {
         "generators": list(g.generators),
         "relators": [grouppres.format_word(r, g.generators) for r in g.relators],
-        "abelianization": str(g.abelianization()),
-        "s3_total": qc.total,
-        "s3_surjective": qc.surjective,
+        **_s3_summary(g),
     }
     return out
 
@@ -124,10 +124,8 @@ def _sheet_surface_case(doc: dsl.Document, name: str) -> dict:
     out = {"validate": list(problems)}
     if problems:
         return out
-    out["class"] = list(sf.homology_class(s).vector)
-    out["self_intersection"] = sf.self_intersection(s)
-    out["chi"] = sf.euler_characteristic(s)
-    out["sphere"] = sf.is_sphere(s)
+    out.update(script.surface_report(s))
+    del out["sheets"]
     return out
 
 
@@ -148,10 +146,6 @@ def run_script(doc: dsl.Document, name: str) -> script.ScriptReport:
     return script.run(ms, Handlebody(doc.diagrams[ms.target]), resolve=resolve)
 
 
-def _script_case(doc: dsl.Document, name: str) -> dict:
-    return script_report_dict(run_script(doc, name))
-
-
 def _brunnian_case(m: int) -> dict:
     """Class bookkeeping for the sphere pair produced from an m-component
     Brunnian-style stabilization: the ambient form is two <1> and two <-1>
@@ -169,22 +163,13 @@ def _brunnian_case(m: int) -> dict:
     bc = blown.classify()
     tc = target.classify()
     return {
-        "ambient": _classification_dict(q.classify()),
+        "ambient": asdict(q.classify()),
         "class_S": v,
         "class_T": v,
         "pairing_ST": q.pairing(v, v),
-        "blowdown": _classification_dict(bc),
-        "target": _classification_dict(tc),
+        "blowdown": asdict(bc),
+        "target": asdict(tc),
         "matches_target": forms.stably_equivalent(blown, target).equivalent,
-    }
-
-
-def _classification_dict(c: forms.Classification) -> dict:
-    return {
-        "rank": c.rank,
-        "signature": c.signature,
-        "parity": c.parity,
-        "definiteness": c.definiteness,
     }
 
 
@@ -228,6 +213,17 @@ def _registry() -> dict[str, CorpusCase]:
 
 _CASES = _registry()
 
+# case kind -> report of the named case
+_COMPUTE = {
+    "diagram": _diagram_case,
+    "knot": _knot_case,
+    "cork": _cork_case,
+    "ribbon": _ribbon_case,
+    "surface": _sheet_surface_case,
+    "script": lambda doc, name: script_report_dict(run_script(doc, name)),
+    "forms": lambda doc, name: _brunnian_case(int(name[-1])),
+}
+
 
 def cases() -> dict[str, CorpusCase]:
     """The case registry, as a fresh dict the caller may change."""
@@ -240,21 +236,7 @@ def compute_case(name: str, doc: dsl.Document | None = None) -> dict:
     case = _CASES.get(name)
     if case is None:
         raise KeyError(f"unknown corpus case {name!r}")
-    if case.kind == "diagram":
-        return _diagram_case(doc, name)
-    if case.kind == "knot":
-        return _knot_case(doc, name)
-    if case.kind == "cork":
-        return _cork_case(doc, name)
-    if case.kind == "ribbon":
-        return _ribbon_case(doc, name)
-    if case.kind == "surface":
-        return _sheet_surface_case(doc, name)
-    if case.kind == "script":
-        return _script_case(doc, name)
-    if case.kind == "forms":
-        return _brunnian_case(int(name[-1]))
-    raise KeyError(f"case {name!r} has unknown kind {case.kind!r}")
+    return _COMPUTE[case.kind](doc, name)
 
 
 def expected_case(name: str) -> dict:

@@ -220,6 +220,14 @@ def fundamental_group(h: Handlebody):
     return grouppres.handlebody_pi1(h.diagram)
 
 
+def pi1_trivial(h: Handlebody, budget: int) -> tuple[bool, str]:
+    """Whether Tietze simplification of pi1 reaches the trivial group, and
+    a note to append to a refusal when the budget ran out first."""
+    simp = grouppres.tietze_simplify(fundamental_group(h), budget)
+    note = f" (Tietze budget of {budget} steps ran out)" if simp.budget_exhausted else ""
+    return simp.presentation.is_obviously_trivial(), note
+
+
 def invariant_report(h: Handlebody) -> dict:
     p, dots, framed = pass_matrix(h.diagram)
     lk = pdcode.linking_matrix(h.diagram)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from . import grouppres, pdcode
+from . import pdcode
 from . import handlebody as hb
 from . import surface as sf
 from .dsl import MoveScript, Step, _sign
@@ -97,7 +97,7 @@ def _greedy_reduce(d: pdcode.Diagram, budget: int) -> pdcode.Diagram:
             continue
         for i, x in enumerate(geometric):
             for y in geometric[i + 1 :]:
-                if len(set(x.edges) & set(y.edges)) != 2:
+                if len(set(x.edges) & set(y.edges)) < 2:
                     continue
                 spent += 1
                 try:
@@ -210,12 +210,8 @@ class Engine:
                 if kind != "sphere":
                     raise ScriptError(f"cannot track {kind!r}", i)
                 on = args["on"]
-                cap = args.get("cap", "d0")
-                tracked = SurfacePresentation(
-                    name="tracked",
-                    host=self.state,
-                    minima=(sf.Disk(cap),),
-                    sheets=(sf.Sheet("core", on, 1, cap=cap),),
+                tracked = sf.capped_sphere(
+                    "tracked", self.state, on, cap=args.get("cap", "d0")
                 )
                 problems = sf.validate_surface(tracked)
                 if problems:
@@ -251,12 +247,7 @@ class Engine:
                 base, summand = sf.split_tube(s, c, cert_token, sign)
                 dual = None
                 if args.get("dual"):
-                    dual = SurfacePresentation(
-                        name="dual",
-                        host=self.state,
-                        minima=(sf.Disk("d"),),
-                        sheets=(sf.Sheet("s", args["dual"], 1, cap="d"),),
-                    )
+                    dual = sf.capped_sphere("dual", self.state, args["dual"])
                 cert = sf.check_sum_well_defined(
                     base, summand.sphere, self.state, dual_sphere=dual,
                     budget=self.budget,
@@ -386,7 +377,7 @@ class Engine:
         checked = []
         for key, want in args.items():
             if key == "pi1_trivial":
-                got, note = self._pi1_trivial()
+                got, note = hb.pi1_trivial(self.state, self.budget)
             else:
                 got, note = self._measure(key, want, i), ""
             if got != want:
@@ -395,13 +386,6 @@ class Engine:
                 )
             checked.append(key)
         return "asserted " + ", ".join(checked)
-
-    def _pi1_trivial(self) -> tuple[bool, str]:
-        """Whether Tietze simplification reaches the trivial group, and a
-        note for a failed assertion when the budget ran out first."""
-        simp = grouppres.tietze_simplify(hb.fundamental_group(self.state), self.budget)
-        note = f" (Tietze budget of {self.budget} steps ran out)" if simp.budget_exhausted else ""
-        return simp.presentation.is_obviously_trivial(), note
 
     def _measure(self, key: str, want, index: int):
         if key == "boundary_h1":

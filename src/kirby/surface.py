@@ -13,13 +13,18 @@ over ``a`` a new neighbour sheet over ``c`` joined by a neck ribbon, so
 the class changes by the signed sheet count while the Euler
 characteristic is untouched.  A band slide performs the two bounding
 slides with opposite orientations and changes nothing homological.
+
+``capped_sphere`` builds the one sphere piece the calculus tracks and
+splits off: a minimum disk capping one core sheet.  ``ribbon_complement``
+draws the complement of a ribbon surface in the 4-ball with no crossings
+at all, because its through-passes carry all the linking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import grouppres, intmat, pdcode
+from . import intmat, pdcode
 from . import handlebody as hb
 from .handlebody import Handlebody
 
@@ -151,11 +156,26 @@ def is_sphere(s: SurfacePresentation) -> bool:
     return euler_characteristic(s) == 2 and is_connected_surface(s) and not s.maxima
 
 
-def _fresh(s: SurfacePresentation, prefix: str) -> str:
-    used = {d.id for d in s.minima} | {sh.id for sh in s.sheets} | {r.id for r in s.ribbons}
+def capped_sphere(
+    name: str, host: Handlebody, on: str, sign: int = 1, cap: str = "cap"
+) -> SurfacePresentation:
+    """The sphere piece over 2-handle ``on``: disk ``cap`` capping one core
+    sheet of the given sign."""
+    return SurfacePresentation(
+        name, host, minima=(Disk(cap),), sheets=(Sheet("core", on, sign, cap=cap),)
+    )
+
+
+def _ids(s: SurfacePresentation) -> set[str]:
+    return {d.id for d in s.minima} | {sh.id for sh in s.sheets} | {r.id for r in s.ribbons}
+
+
+def _fresh(used: set[str], prefix: str) -> str:
+    """The first ``prefix<i>`` not in ``used``, which it then joins."""
     i = 0
     while f"{prefix}{i}" in used:
         i += 1
+    used.add(f"{prefix}{i}")
     return f"{prefix}{i}"
 
 
@@ -176,14 +196,13 @@ def surface_slide(
     host = hb.slide(s.host, a, c, sign)
     sheets = list(s.sheets)
     ribbons = list(s.ribbons)
-    out = replace(s, host=host)
+    used = _ids(s)
     for sh in s.sheets:
         if sh.on != a:
             continue
-        nid = _fresh(replace(out, sheets=tuple(sheets), ribbons=tuple(ribbons)), "s")
+        nid = _fresh(used, "s")
         sheets.append(Sheet(nid, c, sh.sign * sign))
-        rid = _fresh(replace(out, sheets=tuple(sheets), ribbons=tuple(ribbons)), "neck")
-        ribbons.append(Ribbon(rid, (sh.id, nid)))
+        ribbons.append(Ribbon(_fresh(used, "neck"), (sh.id, nid)))
     return replace(s, host=host, sheets=tuple(sheets), ribbons=tuple(ribbons))
 
 
@@ -197,12 +216,12 @@ def band_slide(s: SurfacePresentation, c: str, ribbon: str) -> SurfacePresentati
         raise SurfaceError(f"{c!r} is not a 2-handle")
     sheets = list(s.sheets)
     ribbons = list(s.ribbons)
+    used = _ids(s)
     anchor = r.ends[0]
     for sgn in (1, -1):
-        nid = _fresh(replace(s, sheets=tuple(sheets), ribbons=tuple(ribbons)), "s")
+        nid = _fresh(used, "s")
         sheets.append(Sheet(nid, c, sgn))
-        rid = _fresh(replace(s, sheets=tuple(sheets), ribbons=tuple(ribbons)), "neck")
-        ribbons.append(Ribbon(rid, (anchor, nid)))
+        ribbons.append(Ribbon(_fresh(used, "neck"), (anchor, nid)))
         anchor = nid
     return replace(s, sheets=tuple(sheets), ribbons=tuple(ribbons))
 
@@ -245,12 +264,7 @@ def split_tube(
         sheets=tuple(sh for sh in s.sheets if sh.id != sheet.id),
         ribbons=tuple(r for r in s.ribbons if r.id != neck.id),
     )
-    sphere = SurfacePresentation(
-        name=f"{s.name}-summand-{c}",
-        host=s.host,
-        minima=(Disk("cap"),),
-        sheets=(Sheet("core", c, sign, cap="cap"),),
-    )
+    sphere = capped_sphere(f"{s.name}-summand-{c}", s.host, c, sign)
     return base, SphereSummand(sphere, neck.id)
 
 
@@ -281,12 +295,9 @@ def check_sum_well_defined(
     indeterminate, never refused.
     """
     reasons = []
-    simp = grouppres.tietze_simplify(hb.fundamental_group(host), budget)
-    if not simp.presentation.is_obviously_trivial():
-        reason = "host fundamental group not certified trivial"
-        if simp.budget_exhausted:
-            reason += f" (Tietze budget of {budget} steps ran out)"
-        reasons.append(reason)
+    trivial, note = hb.pi1_trivial(host, budget)
+    if not trivial:
+        reasons.append("host fundamental group not certified trivial" + note)
     si = self_intersection(s2)
     if si in (1, -1):
         pass
@@ -338,7 +349,8 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
     """Handlebody presentation of the complement of a ribbon surface in
     the 4-ball: one dotted circle per minimum, one 0-framed 2-handle per
     ribbon, whose attaching circle enters the first disk, repeats the
-    band's recorded passes, and leaves through the second disk."""
+    band's recorded passes, and leaves through the second disk.  The
+    passes carry all the linking, so the diagram has no crossings."""
     if r.sheets:
         raise SurfaceError("ribbon surfaces have no sheets")
     if r.maxima:
@@ -346,8 +358,6 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
     if r.host.diagram.components:
         raise SurfaceError("ribbon complements are taken in the 4-ball")
     disks = [d.id for d in r.minima]
-    order = list(disks)
-    kind = {d: pdcode.DOTTED for d in disks}
     words = {}
     for rib in r.ribbons:
         a, b = rib.ends
@@ -355,15 +365,18 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
             raise SurfaceError(f"ribbon {rib.id} must join two minima")
         if any(d not in disks for d, _ in rib.passes):
             raise SurfaceError(f"ribbon {rib.id} passes a disk that is not a minimum")
-        hid = f"h.{rib.id}"
-        order.append(hid)
-        kind[hid] = pdcode.FRAMED
-        words[hid] = [(a, 1)] + [(d, sg) for d, sg in rib.passes] + [(b, -1)]
-    q = intmat.zeros(len(order), len(order))  # the passes carry all the linking
-    for hid, word in words.items():
-        for dot, sg in word:
-            i, j = order.index(hid), order.index(dot)
-            q[i][j] += sg
-            q[j][i] += sg
-    model = hb._Model(order, kind, q, words)
-    return Handlebody(hb._model_to_diagram(model, r.name))
+        words[f"h.{rib.id}"] = [(a, 1), *rib.passes, (b, -1)]
+    dots = tuple(
+        pdcode.Component(dot, pdcode.DOTTED, through=tuple(
+            pdcode.Pass(f"{hid}.l", sg, seq)
+            for hid in sorted(words)
+            for seq, (d, sg) in enumerate(words[hid])
+            if d == dot
+        ))
+        for dot in disks
+    )
+    loops = tuple(
+        pdcode.Component(f"h.{rib.id}", pdcode.FRAMED, 0, (f"h.{rib.id}.l",))
+        for rib in r.ribbons
+    )
+    return Handlebody(pdcode.Diagram(r.name, dots + loops))

@@ -66,7 +66,13 @@ def test_invariants_and_form(good_file, capsys):
     assert rep["form"]["signature"] == 0
     code2, payload2 = run_json(capsys, ["form", good_file, "--json"])
     assert code2 == 0
-    assert payload2["pair"]["matrix"] == [[1, 0], [0, -1]]
+    assert payload2["pair"] == {
+        "matrix": [[1, 0], [0, -1]],
+        "rank": 2,
+        "signature": 0,
+        "parity": "odd",
+        "definiteness": "indefinite",
+    }
 
 
 def test_pi1_output(good_file, capsys):

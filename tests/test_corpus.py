@@ -22,6 +22,16 @@ def test_registry_and_full_verification(doc):
     assert all(r.ok and not r.diffs for r in report.results)
     d = report.as_dict()
     assert d["ok"] and set(d["cases"]) == set(registry)
+    # a case is trusted exactly when its script has a trusted-endpoints step
+    trust = {
+        name: "trusted-endpoints"
+        if c.kind == "script"
+        and any(step.flag == "trusted-endpoints" for step in doc.scripts[name].steps)
+        else "replayed"
+        for name, c in registry.items()
+    }
+    assert {name: c.trust for name, c in registry.items()} == trust
+    assert set(trust.values()) == {"trusted-endpoints", "replayed"}
 
 
 def test_registry_copies_do_not_leak(doc):

@@ -158,6 +158,18 @@ def test_certified_isotopy_cancels_a_bigon():
     poked = pdcode.r2_insert(knot, "k1", "w3")
     assert len(poked.crossings) == 7
     assert len(script._greedy_reduce(poked, 100).crossings) == 5
+    # a bigon between two loops: its two crossings share all four edges
+    loops = run_text(
+        """
+    diagram two {
+      component a kind=framed framing=0 edges=(a1);
+      component b kind=framed framing=0 edges=(b1);
+    }
+    script moves on two { reidemeister R2 site=(insert, a1, b1); isotopy to=two; }
+    """
+    )
+    assert loops.ok, loops.steps[-1].detail
+    assert [s.detail for s in loops.steps] == ["applied R2", "isotoped to 'two' (certified)"]
 
 
 def test_certified_isotopy_rejects_different_encodings():

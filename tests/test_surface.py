@@ -1,6 +1,8 @@
 """Critical-level surface presentations: slides, tube splitting,
 connected-sum cancellation, and ribbon complements."""
 
+import random
+
 import pytest
 import sympy
 
@@ -20,12 +22,9 @@ def host_two_handles(f_a=1, f_c=0, lk=1):
 
 
 def capped_sphere(host, on="a", sign=1):
-    return SurfacePresentation(
-        "s",
-        host,
-        minima=(Disk("d0"),),
-        sheets=(Sheet("core", on, sign, cap="d0"),),
-    )
+    s = surface.capped_sphere("s", host, on, sign, cap="d0")
+    assert s.minima == (Disk("d0"),) and s.sheets == (Sheet("core", on, sign, cap="d0"),)
+    return s
 
 
 def oracle_square(s):
@@ -288,3 +287,41 @@ def test_ribbon_complement_links_each_dot_through_its_passes():
     )
     with pytest.raises(surface.SurfaceError, match="not a minimum"):
         surface.ribbon_complement(stray)
+
+
+def model_complement(r):
+    """The complement as it was built through the slide model: a linking
+    matrix whose dotted entries the pass words cancel again."""
+    disks = [d.id for d in r.minima]
+    order = list(disks)
+    kind = {d: pdcode.DOTTED for d in disks}
+    words = {}
+    for rib in r.ribbons:
+        hid = f"h.{rib.id}"
+        order.append(hid)
+        kind[hid] = FRAMED
+        words[hid] = [(rib.ends[0], 1)] + list(rib.passes) + [(rib.ends[1], -1)]
+    q = [[0] * len(order) for _ in order]
+    for hid, word in words.items():
+        for dot, sg in word:
+            i, j = order.index(hid), order.index(dot)
+            q[i][j] += sg
+            q[j][i] += sg
+    model = handlebody._Model(order, kind, q, words)
+    return Handlebody(handlebody._model_to_diagram(model, r.name))
+
+
+def test_ribbon_complement_matches_the_slide_model():
+    rng = random.Random(1)
+    for trial in range(3000):
+        disks = [f"d{i}" for i in range(rng.randint(1, 5))]
+        ribbons = tuple(
+            Ribbon(
+                f"r{i}",
+                (rng.choice(disks), rng.choice(disks)),
+                tuple((rng.choice(disks), rng.choice((1, -1))) for _ in range(rng.randint(0, 4))),
+            )
+            for i in rng.sample(range(10), rng.randint(0, 5))
+        )
+        s = SurfacePresentation(f"R{trial}", ball(), tuple(Disk(d) for d in disks), ribbons)
+        assert surface.ribbon_complement(s) == model_complement(s), trial
