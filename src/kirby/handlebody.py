@@ -7,15 +7,15 @@ blowdowns, dot/zero swaps, 1-2 cancellation — and the algebraic shadows:
 homology, intersection form, boundary homology, extension certificates,
 and equivariance bookkeeping for marked symmetric diagrams.
 
-Slides and cancellations operate at the algebraic level.  Each is a
-congruence Q -> E Q E^T of the linking matrix (framings on the diagonal),
-applied together with the matching rewrite of the through-pass words.  The
-result is written back as a diagram whose components are free loops
-carrying framings and pass words, with one counted abstract crossing of
-multiplicity 2*|lk| per linked pair.  Every invariant defined on such
-diagrams (homology, forms, fundamental group) transforms by the textbook
-formulas, which the tests check against independent matrix congruence
-oracles.
+Slides and cancellations operate at the algebraic level.  Each reads the
+linking matrix (framings on the diagonal) and the through-pass words from
+``pdcode``, applies a congruence Q -> E Q E^T together with the matching
+rewrite of the words, and writes the result through ``pdcode._from_words``:
+free loops carrying framings and pass words, with one counted abstract
+crossing of multiplicity 2*|lk| per linked pair.  Every invariant defined
+on such diagrams (homology, forms, fundamental group) transforms by the
+textbook formulas, which the tests check against independent matrix
+congruence oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .forms import BilinearForm
 from .intmat import AbelianGroup
 from .pdcode import (
     Component,
-    Crossing,
     Diagram,
     Pass,
     SymmetryMarking,
@@ -59,19 +58,7 @@ def validate(h: Handlebody) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic model: framings, pairwise linking, through-pass words
-#
-# A pass word for a framed component lists its signed passes through the
-# dotted circles, in order along the component.  Together with the linking
-# matrix this determines every invariant the calculus moves must preserve.
-
-
-@dataclass
-class _Model:
-    order: list[str]
-    kind: dict[str, str]
-    q: list[list[int]]  # linking matrix over ``order``, framings on the diagonal
-    words: dict[str, list[tuple[str, int]]]  # framed id -> [(dot id, sign)]
+# Algebraic rewrites: linking matrix and pass words, read and written by pdcode
 
 
 def _slide_rows(q: list[list[int]], a: int, c: int, k: int) -> None:
@@ -83,50 +70,24 @@ def _slide_rows(q: list[list[int]], a: int, c: int, k: int) -> None:
         row[a] += k * row[c]
 
 
-def _model_from_diagram(d: Diagram) -> _Model:
-    return _Model(
-        [c.id for c in d.components],
-        {c.id: c.kind for c in d.components},
-        pdcode.linking_matrix(d),
-        pdcode._pass_words(d),
-    )
+def _inverse(word):
+    return [(dot, -s) for dot, s in reversed(word)]
 
 
-def _model_to_diagram(m: _Model, name: str = "") -> Diagram:
-    loop = {
-        cid: f"{cid}.l" for cid in m.order if m.kind[cid] != pdcode.DOTTED
-    }
-    comps = []
-    for i, cid in enumerate(m.order):
-        if m.kind[cid] == pdcode.DOTTED:
-            through = []
-            for fid in sorted(m.words):
-                for seq, (dot, s) in enumerate(m.words[fid]):
-                    if dot == cid:
-                        through.append(Pass(loop[fid], s, seq))
-            comps.append(Component(cid, pdcode.DOTTED, through=tuple(through)))
-        else:
-            comps.append(
-                Component(
-                    cid,
-                    m.kind[cid],
-                    framing=m.q[i][i] if m.kind[cid] == pdcode.FRAMED else None,
-                    edges=(loop[cid],),
-                )
-            )
-    pos = {cid: i for i, cid in enumerate(m.order)}
-    crossings = []
-    for a, b in combinations(sorted(m.order), 2):
-        v = m.q[pos[a]][pos[b]]
-        if pdcode.DOTTED in (m.kind[a], m.kind[b]):
-            # passes already account for part of a dotted circle's linking
-            v -= sum(s for dot, s in m.words.get(a, m.words.get(b, [])) if dot in (a, b))
-        if v:
-            crossings.append(Crossing(
-                f"ax{len(crossings)}", 1 if v > 0 else -1,
-                between=(a, b), count=2 * abs(v),
-            ))
-    return Diagram(name, tuple(comps), tuple(crossings))
+def _write(d: Diagram, order: list[str], q, words) -> Diagram:
+    """d's components of ``order``, with linking matrix q over ``order``
+    (framings on the diagonal) and pass words ``words``, written through
+    ``pdcode._from_words``."""
+    kind = {c.id: c.kind for c in d.components}
+    comps = [
+        (cid, kind[cid], q[i][i] if kind[cid] == pdcode.FRAMED else None)
+        for i, cid in enumerate(order)
+    ]
+    linking = {}
+    for i, j in combinations(range(len(order)), 2):
+        a, b = order[i], order[j]
+        linking[(a, b) if a < b else (b, a)] = q[i][j]
+    return pdcode._from_words(d.name, comps, words, linking)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +239,11 @@ def slide(h: Handlebody, a: str, c: str, sign: int = 1) -> Handlebody:
         raise HandlebodyError("cannot slide a handle over itself")
     if ca.kind != pdcode.FRAMED or cc.kind != pdcode.FRAMED:
         raise HandlebodyError("slides are supported for framed components only")
-    m = _model_from_diagram(d)
-    _slide_rows(m.q, m.order.index(a), m.order.index(c), sign)
-    wc = m.words.get(c, [])
-    add = wc if sign > 0 else [(dot, -s) for dot, s in reversed(wc)]
-    m.words[a] = m.words.get(a, []) + list(add)
-    return h.with_diagram(_model_to_diagram(m, d.name))
+    order = [x.id for x in d.components]
+    q, words = pdcode.linking_matrix(d), pdcode._pass_words(d)
+    _slide_rows(q, order.index(a), order.index(c), sign)
+    words[a] = words[a] + (words[c] if sign > 0 else _inverse(words[c]))
+    return h.with_diagram(_write(d, order, q, words))
 
 
 def _insert_twist_box(d: Diagram, passes, halftwists: int) -> Diagram:
@@ -353,6 +313,8 @@ def blowup(h: Handlebody, sign: int, through=()) -> Handlebody:
     """
     if not pdcode._is_sign(sign):
         raise HandlebodyError("blowup sign must be +-1")
+    if isinstance(through, str):
+        raise HandlebodyError(f"through {through!r} is a string, not a list of edges")
     through = [(p, 1) if isinstance(p, str) else p for p in through]
     for p in through:
         if not (isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], str)):
@@ -453,8 +415,9 @@ def cancel_pair(h: Handlebody, dot: str, framed: str) -> Handlebody:
     cd, cf = d.component(dot), d.component(framed)
     if cd.kind != pdcode.DOTTED or cf.kind != pdcode.FRAMED:
         raise HandlebodyError("cancel_pair needs a dotted and a framed component")
-    m = _model_from_diagram(d)
-    wf = m.words.get(framed, [])
+    order = [x.id for x in d.components]
+    q, words = pdcode.linking_matrix(d), pdcode._pass_words(d)
+    wf = words.pop(framed)
     hits = [(i, s) for i, (dt, s) in enumerate(wf) if dt == dot]
     if len(hits) != 1:
         raise HandlebodyError(
@@ -465,36 +428,26 @@ def cancel_pair(h: Handlebody, dot: str, framed: str) -> Handlebody:
     # the cancelling relator reads u dot^s v = 1, so each pass through the
     # dot is rerouted along (u^-1 v^-1)^s — one slide over the 2-handle per
     # pass, inserted at the position of the pass
-    def inv(word):
-        return [(dt, -sg) for dt, sg in reversed(word)]
-
-    u, v = wf[:idx], wf[idx + 1:]
-    rep = inv(u) + inv(v)
+    rep = _inverse(wf[:idx]) + _inverse(wf[idx + 1:])
     if s < 0:
-        rep = inv(rep)
+        rep = _inverse(rep)
 
-    pos = {x: i for i, x in enumerate(m.order)}
-    new_words: dict[str, list[tuple[str, int]]] = {}
-    for x, wx in m.words.items():
-        if x == framed:
-            continue
+    pos = {x: i for i, x in enumerate(order)}
+    for x, wx in words.items():
         out: list[tuple[str, int]] = []
         count = 0  # net number of slides over `framed`
         for dt, sg in wx:
             if dt == dot:
-                out.extend(rep if sg > 0 else inv(rep))
+                out.extend(rep if sg > 0 else _inverse(rep))
                 count -= s * sg
             else:
                 out.append((dt, sg))
-        new_words[x] = out
+        words[x] = out
         # every slide is over `framed`, so these congruences commute
-        _slide_rows(m.q, pos[x], pos[framed], count)
-    keep = [pos[x] for x in m.order if x not in (dot, framed)]
-    m.q = [[m.q[i][j] for j in keep] for i in keep]
-    m.order = [m.order[i] for i in keep]
-    m.words = new_words
-    m.kind.pop(dot), m.kind.pop(framed)
-    return h.with_diagram(_model_to_diagram(m, d.name))
+        _slide_rows(q, pos[x], pos[framed], count)
+    keep = [pos[x] for x in order if x not in (dot, framed)]
+    q = [[q[i][j] for j in keep] for i in keep]
+    return h.with_diagram(_write(d, [order[i] for i in keep], q, words))
 
 
 # ---------------------------------------------------------------------------

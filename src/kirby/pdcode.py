@@ -31,7 +31,11 @@ and refuses a record that names an unknown edge or component.  Linking
 numbers, the parity check of ``validate`` and the connectivity of a
 handlebody all read its keys and totals; ``linking_matrix`` reads them in
 one pass, through an id -> index map.  Likewise ``_pass_words`` is the one
-reading of the passes through dotted circles, ``_pieces`` the one search
+reading of the passes through dotted circles, and ``_from_words`` the one
+writer of the algebraic format that it and ``linking_matrix`` read back
+(one-edge loops, passes on round dotted circles, one counted abstract
+crossing per linked pair): slides, cancellations and ribbon complements
+all write through it.  ``_pieces`` is the one search
 for the connected pieces of a planar map, a handlebody or a surface, and
 ``_recut`` the one edit of a component cycle: edge splits, fusing, box
 expansion and the Reidemeister moves all rewrite cycles through it.
@@ -163,24 +167,20 @@ class Diagram:
         used |= {b.id for b in self.boxes}
         for c in self.components:
             used |= set(c.edges)
-        for i in itertools.count():
-            cand = f"{prefix}{i}"
-            if cand not in used:
-                return cand
+        return _fresh(used, prefix)
 
     def fresh_edges(self, n: int) -> list[str]:
-        used = set()
-        for c in self.components:
-            used |= set(c.edges)
-        out = []
-        for i in itertools.count():
-            cand = f"w{i}"
-            if cand not in used:
-                out.append(cand)
-                used.add(cand)
-                if len(out) == n:
-                    return out
-        raise AssertionError
+        used = {e for c in self.components for e in c.edges}
+        return [_fresh(used, "w") for _ in range(n)]
+
+
+def _fresh(used: set[str], prefix: str) -> str:
+    """The first ``prefix<i>`` not in ``used``, which it then joins."""
+    i = 0
+    while f"{prefix}{i}" in used:
+        i += 1
+    used.add(f"{prefix}{i}")
+    return f"{prefix}{i}"
 
 
 @dataclass(frozen=True)
@@ -823,6 +823,39 @@ def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
     return words
 
 
+def _from_words(name: str, comps, words, linking) -> Diagram:
+    """The algebraic diagram of ``comps``, read back by ``_pass_words`` and
+    ``linking_matrix``.
+
+    ``comps`` lists (id, kind, framing) in order.  A dotted circle is round
+    and carries the passes of ``words`` (framed id -> [(dot id, sign)]),
+    framed ids sorted and ``seq`` the position in the word; every other
+    component is the one-edge loop ``<id>.l``.  ``linking`` maps pairs
+    (a, b) with a < b to their linking number: the passes' share is taken
+    off and the rest written as one counted abstract crossing.  A pair it
+    omits is linked by its passes alone."""
+    through: dict[str, list[Pass]] = {cid: [] for cid, kind, _ in comps if kind == DOTTED}
+    share: dict[tuple[str, str], int] = {}
+    for fid in sorted(words):
+        for seq, (dot, s) in enumerate(words[fid]):
+            through[dot].append(Pass(f"{fid}.l", s, seq))
+            key = (fid, dot) if fid < dot else (dot, fid)
+            share[key] = share.get(key, 0) + s
+    components = tuple(
+        Component(cid, kind, through=tuple(through[cid])) if kind == DOTTED
+        else Component(cid, kind, framing, (f"{cid}.l",))
+        for cid, kind, framing in comps
+    )
+    crossings = []
+    for pair, v in sorted(linking.items()):
+        v -= share.get(pair, 0)
+        if v:
+            crossings.append(Crossing(
+                f"ax{len(crossings)}", 1 if v > 0 else -1, between=pair, count=2 * abs(v),
+            ))
+    return Diagram(name, components, tuple(crossings))
+
+
 _SELF_LINKING = "self-linking is the framing, not a linking number"
 
 
@@ -1035,20 +1068,27 @@ def reidemeister(d: Diagram, move: str, site) -> Diagram:
       R2 ("insert", over_edge, under_edge) | ("remove", xid1, xid2)
       R3 (xid1, xid2, xid3) with the distinguished strand passing the
          first two crossings (over both or under both).
+
+    Any other move or site, a site with items missing or to spare, and an
+    edge or crossing name that is not a string raise MoveError.
     """
-    move = move.upper()
-    if move == "R1":
-        if site[0] == "insert":
-            return r1_insert(d, site[1], site[2])
-        if site[0] == "remove":
-            return r1_remove(d, site[1])
-    elif move == "R2":
-        if site[0] == "insert":
-            return r2_insert(d, site[1], site[2])
-        if site[0] == "remove":
-            return r2_remove(d, site[1], site[2])
-    elif move == "R3":
-        return r3(d, *site)
+    if isinstance(move, str) and isinstance(site, (tuple, list)):
+        move = move.upper()
+        if move == "R3":
+            kind, args = None, tuple(site)
+        else:
+            kind, args = site[0] if site and isinstance(site[0], str) else "", tuple(site[1:])
+        apply, arity, names = {  # the move, its site items, how many are names
+            ("R1", "insert"): (r1_insert, 2, 1),
+            ("R1", "remove"): (r1_remove, 1, 1),
+            ("R2", "insert"): (r2_insert, 2, 2),
+            ("R2", "remove"): (r2_remove, 2, 2),
+            ("R3", None): (r3, 3, 3),
+        }.get((move, kind), (None, 0, 0))
+        if apply is not None:
+            if len(args) != arity or not all(isinstance(a, str) for a in args[:names]):
+                raise MoveError(f"malformed {move} site {site!r}")
+            return apply(d, *args)
     raise MoveError(f"unknown move {move!r} or site {site!r}")
 
 

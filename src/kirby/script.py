@@ -199,8 +199,7 @@ class Engine:
                 return f"cancelled pair ({dot}, {framed})"
             if op == "reidemeister":
                 (move,) = pos
-                site = args.get("site", ())
-                d = pdcode.reidemeister(self.state.diagram, move, tuple(site))
+                d = pdcode.reidemeister(self.state.diagram, move, args.get("site", ()))
                 self._set_host(self.state.with_diagram(d))
                 return f"applied {move}"
             if op == "isotopy":
@@ -321,7 +320,7 @@ class Engine:
     def _isotopy(self, step: Step) -> str:
         i = step.index
         name = step.args.get("to")
-        if not name:
+        if not isinstance(name, str) or not name:
             raise ScriptError("isotopy needs to=<name>", i)
         target = self.resolve(name)
         if target is None:
@@ -374,6 +373,8 @@ class Engine:
 
     def _assertions(self, step: Step, args: dict, pos) -> str:
         i = step.index
+        if pos or not args:
+            raise ScriptError(f"assert needs key=value checks, got {pos or 'none'}", i)
         checked = []
         for key, want in args.items():
             if key == "pi1_trivial":

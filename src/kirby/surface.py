@@ -170,15 +170,6 @@ def _ids(s: SurfacePresentation) -> set[str]:
     return {d.id for d in s.minima} | {sh.id for sh in s.sheets} | {r.id for r in s.ribbons}
 
 
-def _fresh(used: set[str], prefix: str) -> str:
-    """The first ``prefix<i>`` not in ``used``, which it then joins."""
-    i = 0
-    while f"{prefix}{i}" in used:
-        i += 1
-    used.add(f"{prefix}{i}")
-    return f"{prefix}{i}"
-
-
 # ---------------------------------------------------------------------------
 # Slides
 
@@ -200,9 +191,9 @@ def surface_slide(
     for sh in s.sheets:
         if sh.on != a:
             continue
-        nid = _fresh(used, "s")
+        nid = pdcode._fresh(used, "s")
         sheets.append(Sheet(nid, c, sh.sign * sign))
-        ribbons.append(Ribbon(_fresh(used, "neck"), (sh.id, nid)))
+        ribbons.append(Ribbon(pdcode._fresh(used, "neck"), (sh.id, nid)))
     return replace(s, host=host, sheets=tuple(sheets), ribbons=tuple(ribbons))
 
 
@@ -219,9 +210,9 @@ def band_slide(s: SurfacePresentation, c: str, ribbon: str) -> SurfacePresentati
     used = _ids(s)
     anchor = r.ends[0]
     for sgn in (1, -1):
-        nid = _fresh(used, "s")
+        nid = pdcode._fresh(used, "s")
         sheets.append(Sheet(nid, c, sgn))
-        ribbons.append(Ribbon(_fresh(used, "neck"), (anchor, nid)))
+        ribbons.append(Ribbon(pdcode._fresh(used, "neck"), (anchor, nid)))
         anchor = nid
     return replace(s, sheets=tuple(sheets), ribbons=tuple(ribbons))
 
@@ -350,7 +341,9 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
     the 4-ball: one dotted circle per minimum, one 0-framed 2-handle per
     ribbon, whose attaching circle enters the first disk, repeats the
     band's recorded passes, and leaves through the second disk.  The
-    passes carry all the linking, so the diagram has no crossings."""
+    passes carry all the linking, so the diagram has no crossings.  Two
+    ribbons of one id, or a minimum named like a handle ``h.<ribbon>``,
+    raise SurfaceError."""
     if r.sheets:
         raise SurfaceError("ribbon surfaces have no sheets")
     if r.maxima:
@@ -358,25 +351,18 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
     if r.host.diagram.components:
         raise SurfaceError("ribbon complements are taken in the 4-ball")
     disks = [d.id for d in r.minima]
+    handles = [f"h.{rib.id}" for rib in r.ribbons]
+    ids = disks + handles
+    if len(set(ids)) != len(ids):
+        clash = next(x for x in ids if ids.count(x) > 1)
+        raise SurfaceError(f"ribbon complement would repeat component id {clash!r}")
     words = {}
-    for rib in r.ribbons:
+    for hid, rib in zip(handles, r.ribbons):
         a, b = rib.ends
         if a not in disks or b not in disks:
             raise SurfaceError(f"ribbon {rib.id} must join two minima")
         if any(d not in disks for d, _ in rib.passes):
             raise SurfaceError(f"ribbon {rib.id} passes a disk that is not a minimum")
-        words[f"h.{rib.id}"] = [(a, 1), *rib.passes, (b, -1)]
-    dots = tuple(
-        pdcode.Component(dot, pdcode.DOTTED, through=tuple(
-            pdcode.Pass(f"{hid}.l", sg, seq)
-            for hid in sorted(words)
-            for seq, (d, sg) in enumerate(words[hid])
-            if d == dot
-        ))
-        for dot in disks
-    )
-    loops = tuple(
-        pdcode.Component(f"h.{rib.id}", pdcode.FRAMED, 0, (f"h.{rib.id}.l",))
-        for rib in r.ribbons
-    )
-    return Handlebody(pdcode.Diagram(r.name, dots + loops))
+        words[hid] = [(a, 1), *rib.passes, (b, -1)]
+    comps = [(d, pdcode.DOTTED, None) for d in disks] + [(hid, pdcode.FRAMED, 0) for hid in handles]
+    return Handlebody(pdcode._from_words(r.name, comps, words, {}))

@@ -178,3 +178,22 @@ def test_run_invalid_tracked_surface_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL track" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("step", [
+    "assert components=1 boundary_h1;",
+    "assert boundary_h1;",
+    "blowup + through=ab;",
+    "isotopy to=[[1]];",
+    "reidemeister R1 site=(insert, a);",
+])
+def test_run_refuses_malformed_steps_with_exit_1(tmp_path, capsys, step):
+    p = tmp_path / "steps.kd"
+    p.write_text(
+        "diagram U { component a kind=framed framing=0 edges=(a,b); }\n"
+        f"script s on U {{ {step} }}\n"
+    )
+    assert cli.main(["run", str(p), "--script", "s"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "Traceback" not in captured.out + captured.err

@@ -8,14 +8,16 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from kirby import corpus, handlebody, intmat, pdcode, surface
+from kirby import corpus, dsl, handlebody, intmat, pdcode, surface
 from kirby.handlebody import Handlebody
 from kirby.pdcode import (
     BoxStrand, Component, Crossing, Diagram, FRAMED, DOTTED, Pass, SymmetryMarking, TwistBox,
 )
 from kirby.surface import Disk, Ribbon, Sheet, SurfacePresentation
 
-from conftest import random_symmetric, random_unimodular
+from conftest import (
+    bench_workloads, model_cancel_pair, model_slide, random_symmetric, random_unimodular,
+)
 from test_pdcode import hopf, sweep_diagrams
 
 
@@ -109,6 +111,13 @@ def test_slide_rejects_bad_arguments():
 
 
 # -- blowups and blowdowns -------------------------------------------------
+
+
+def test_blowup_refuses_a_string_of_edges():
+    h = Handlebody(Diagram("u", (Component("a", FRAMED, 0, edges=("a", "b")),)))
+    with pytest.raises(handlebody.HandlebodyError, match="string, not a list of edges"):
+        handlebody.blowup(h, 1, "ab")
+    assert handlebody.blowup(h, 1, ("a",)).diagram.components[-1].through != ()
 
 
 def hopf_handlebody():
@@ -718,3 +727,26 @@ def test_non_integer_framings_are_refused(framing):
             read(d)
     with pytest.raises(handlebody.HandlebodyError, match="framing"):
         handlebody.blowdown(Handlebody(d), "u")
+
+
+def test_slides_and_cancellations_match_the_slide_model_on_the_moves_plans():
+    # every state of the benchmark's move plans, seeds 1-5: each slide and
+    # cancellation equals the model's, record for record
+    w = bench_workloads()
+    compared = 0
+    for seed in range(1, 6):
+        work = w.build("moves", seed)
+        doc = dsl.parse(work.text)
+        plans = [(name, spec["plan"]) for name, spec in work.spec["bodies"].items()]
+        for name, plan in plans + [("P22", work.spec["plumbing"])]:
+            h = Handlebody(doc.diagrams[name])
+            for move in plan:
+                nxt = w._apply_move(handlebody, h, move)
+                if move[0] == "slide":
+                    assert nxt == model_slide(h, *move[1:]), (seed, name, move)
+                    compared += 1
+                elif move[0] == "cancel":
+                    assert nxt == model_cancel_pair(h, *move[1:]), (seed, name, move)
+                    compared += 1
+                h = nxt
+    assert compared > 1000

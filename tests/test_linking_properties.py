@@ -12,6 +12,7 @@ from kirby import corpus, handlebody, pdcode, script
 from kirby.handlebody import Handlebody
 from kirby.pdcode import BoxStrand, Component, Crossing, Diagram, DOTTED, FRAMED, Pass, TwistBox
 
+from conftest import model_cancel_pair, model_slide
 from test_handlebody import walked_is_connected
 from test_pdcode import sweep_diagrams
 
@@ -282,9 +283,10 @@ def test_moves_keep_linking_equal_to_tracked_congruence(h, moves):
         if cancel and dots:
             dot, f = dots[i % len(dots)], framed[j % len(framed)]
             try:
-                h = handlebody.cancel_pair(h, dot, f)
+                h, before = handlebody.cancel_pair(h, dot, f), h
             except handlebody.HandlebodyError:
                 continue
+            assert h == model_cancel_pair(before, dot, f)
             r, c = dots.index(dot), framed.index(f)
             s = p[r, c]
             e = sympy.eye(len(framed))
@@ -299,7 +301,8 @@ def test_moves_keep_linking_equal_to_tracked_congruence(h, moves):
         elif len(framed) > 1:
             a = framed[i % len(framed)]
             c = framed[(i + 1 + j % (len(framed) - 1)) % len(framed)]
-            h = handlebody.slide(h, a, c, sign)
+            h, before = handlebody.slide(h, a, c, sign), h
+            assert h == model_slide(before, a, c, sign)
             e = sympy.eye(len(framed))
             e[framed.index(a), framed.index(c)] = sign
             q = e * q * e.T
@@ -406,7 +409,8 @@ def test_moves_on_unnormalized_diagrams_stay_valid(h, moves):
         framed = [c for c in d.components if c.kind == FRAMED]
         if kind == "slide" and len(framed) > 1:
             a, over = framed[i % len(framed)].id, framed[(i + 1) % len(framed)].id
-            h = handlebody.slide(h, a, over, sign)
+            h, before = handlebody.slide(h, a, over, sign), h
+            assert h == model_slide(before, a, over, sign)
             e = sympy.eye(len(order))
             e[order.index(a), order.index(over)] = sign
             q = (e * sympy.Matrix(q) * e.T).tolist()

@@ -1,6 +1,7 @@
 """Framed-link diagram structure, validation, and Reidemeister moves."""
 
 import itertools
+import random
 import re
 from dataclasses import replace
 
@@ -226,6 +227,35 @@ def test_reidemeister_dispatches_every_move():
     for move, site in (("R1", ("twist", "a1")), ("R2", ("swap", "a1", "b1"))):
         with pytest.raises(pdcode.MoveError, match="unknown move"):
             pdcode.reidemeister(two, move, site)
+
+
+@pytest.mark.parametrize("move, site", [
+    ("R1", ("insert", "a1")),
+    ("R1", ()),
+    ("R1", ("remove",)),
+    ("R2", ("remove", "x")),
+    ("R3", ("x",)),
+    ("R2", ("insert", "a1", ["x"])),
+    ("R1", ("insert", ["a1"], 1)),
+    (5, ("insert", "a1", 1)),
+    ("R1", ("insert", "a1", 1, 2)),
+    ("R1", "insert"),
+    ("R1", (["insert"], "a1", 1)),
+])
+def test_reidemeister_refuses_malformed_sites(move, site):
+    two_edges = Diagram("u", (Component("a", FRAMED, 0, edges=("a1", "a2")),))
+    with pytest.raises(pdcode.MoveError):
+        pdcode.reidemeister(two_edges, move, site)
+
+
+def test_fresh_names_take_the_first_free_index():
+    d = Diagram("d", (Component("a", FRAMED, 0, edges=("w0", "w2", "u1")),),
+                (Crossing("u0", 1, between=("a", "a")),))
+    assert d.fresh_edges(3) == ["w1", "w3", "w4"]
+    assert d.fresh_id("u") == "u2"
+    used = {"s0", "s1"}
+    assert [pdcode._fresh(used, "s") for _ in range(2)] == ["s2", "s3"]
+    assert used == {"s0", "s1", "s2", "s3"}
 
 
 def test_validate_states_each_fault():
@@ -768,3 +798,45 @@ def test_expansion_matches_splicing_reference():
             assert got == (pdcode.DiagramError, "box {}: unknown edge {!r}".format(*stray)), d.name
     # most of them are genuine boxed diagrams, not refusals on both sides
     assert sum(not pdcode.validate(d) and bool(d.boxes) for d in subjects) > 100
+
+
+def random_words_input(rng):
+    """Components of all three kinds in shuffled id order, a pass word over
+    the dotted circles for every framed component, and linking numbers for
+    a random subset of the pairs."""
+    ids = rng.sample([f"c{i}" for i in range(8)], rng.randint(1, 6))
+    comps = []
+    for cid in ids:
+        kind = rng.choice((FRAMED, FRAMED, DOTTED, pdcode.PLAIN))
+        comps.append((cid, kind, rng.randint(-3, 3) if kind == FRAMED else None))
+    dots = [cid for cid, kind, _ in comps if kind == DOTTED]
+    words = {
+        cid: [(rng.choice(dots), rng.choice((1, -1))) for _ in range(rng.randint(0, 4) if dots else 0)]
+        for cid, kind, _ in comps if kind == FRAMED
+    }
+    linking = {
+        pair: rng.randint(-3, 3)
+        for pair in itertools.combinations(sorted(ids), 2) if rng.random() < 0.7
+    }
+    return comps, words, linking
+
+
+def test_from_words_round_trips_through_its_readers():
+    rng = random.Random(17)
+    for trial in range(3000):
+        comps, words, linking = random_words_input(rng)
+        d = pdcode._from_words(f"W{trial}", comps, words, linking)
+        assert pdcode.validate(d) == [], trial
+        assert pdcode._pass_words(d) == words, trial
+        ids = [cid for cid, _, _ in comps]
+        share = {}  # a pair left out of ``linking`` is linked by its passes alone
+        for fid, word in words.items():
+            for dot, s in word:
+                pair = tuple(sorted((fid, dot)))
+                share[pair] = share.get(pair, 0) + s
+        q = pdcode.linking_matrix(d)
+        for i, (a, kind, framing) in enumerate(comps):
+            assert q[i][i] == (framing if kind == FRAMED else 0), trial
+            for j in range(i + 1, len(comps)):
+                pair = tuple(sorted((a, ids[j])))
+                assert q[i][j] == linking.get(pair, share.get(pair, 0)), (trial, pair)

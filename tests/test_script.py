@@ -337,3 +337,34 @@ def test_step_signs_refuse_booleans():
     for steps in ("slide a over b;", "slide a over b sign=-;", "slide a over b sign=-1;", "blowup +;"):
         report = run_text(TWO_SPHERES + f"script s on pair {{ {steps} }}")
         assert report.ok, (steps, report.steps[-1].detail)
+
+
+# -- steps that would check nothing or read the wrong input ------------------
+
+
+UNKNOT = "diagram U { component a kind=framed framing=0 edges=(a1,a2); }\n"
+
+
+@pytest.mark.parametrize("steps, detail", [
+    ("assert components=1 boundary_h1;", "assert needs key=value checks, got ['boundary_h1']"),
+    ("assert boundary_h1;", "assert needs key=value checks, got ['boundary_h1']"),
+    ("assert;", "assert needs key=value checks, got none"),
+    ("blowup + through=a1a2;", "through 'a1a2' is a string, not a list of edges"),
+    ("isotopy to=[[1]];", "isotopy needs to=<name>"),
+    ("isotopy to=(U);", "isotopy needs to=<name>"),
+    ("reidemeister R1 site=(insert, a1);", "malformed R1 site ('insert', 'a1')"),
+    ("reidemeister R1 site=(insert, a1, 1, 2);", "malformed R1 site ('insert', 'a1', 1, 2)"),
+    ("reidemeister R3 site=(x);", "malformed R3 site ('x',)"),
+    ("reidemeister R1 site=insert;", "unknown move 'R1' or site 'insert'"),
+])
+def test_steps_that_check_nothing_or_misread_are_refused(steps, detail):
+    report = run_text(UNKNOT + f"script s on U {{ {steps} }}")
+    assert not report.ok
+    assert report.steps[-1].detail == f"step 0: {detail}"
+
+
+def test_well_formed_steps_still_replay():
+    steps = ("assert components=1 boundary_h1=Z; reidemeister R1 site=(insert, a2, 1); "
+             "isotopy to=U trusted_endpoints; blowup + through=(a1); assert components=2;")
+    report = run_text(UNKNOT + f"script s on U {{ {steps} }}")
+    assert report.ok, report.steps[-1].detail

@@ -11,6 +11,8 @@ from kirby.handlebody import Handlebody
 from kirby.pdcode import Component, Crossing, Diagram, FRAMED
 from kirby.surface import Disk, Ribbon, Sheet, SurfacePresentation
 
+from conftest import Model, model_to_diagram
+
 
 def host_two_handles(f_a=1, f_c=0, lk=1):
     comps = (Component("a", FRAMED, f_a), Component("c", FRAMED, f_c))
@@ -289,6 +291,22 @@ def test_ribbon_complement_links_each_dot_through_its_passes():
         surface.ribbon_complement(stray)
 
 
+def test_ribbon_complement_refuses_clashing_ids():
+    twice = SurfacePresentation(
+        "twice", ball(), minima=(Disk("x"), Disk("y")),
+        ribbons=(Ribbon("r", ("x", "y")), Ribbon("r", ("y", "x"))),
+    )
+    assert "duplicate piece ids" in surface.validate_surface(twice)
+    with pytest.raises(surface.SurfaceError, match="repeat component id 'h.r'"):
+        surface.ribbon_complement(twice)
+    handle_named = SurfacePresentation(
+        "handle-named", ball(), minima=(Disk("x"), Disk("h.r")),
+        ribbons=(Ribbon("r", ("x", "h.r")),),
+    )
+    with pytest.raises(surface.SurfaceError, match="repeat component id 'h.r'"):
+        surface.ribbon_complement(handle_named)
+
+
 def model_complement(r):
     """The complement as it was built through the slide model: a linking
     matrix whose dotted entries the pass words cancel again."""
@@ -307,8 +325,7 @@ def model_complement(r):
             i, j = order.index(hid), order.index(dot)
             q[i][j] += sg
             q[j][i] += sg
-    model = handlebody._Model(order, kind, q, words)
-    return Handlebody(handlebody._model_to_diagram(model, r.name))
+    return Handlebody(model_to_diagram(Model(order, kind, q, words), r.name))
 
 
 def test_ribbon_complement_matches_the_slide_model():
