@@ -163,6 +163,7 @@ def cmd_run(args) -> int:
     ms = doc.scripts[args.script]
     if ms.target not in doc.diagrams:
         raise InputError(f"script target {ms.target!r} not in input")
+    _valid_handlebody(ms.target, doc.diagrams[ms.target])
     rep = corpus.run_script(doc, args.script)
     payload = corpus.script_report_dict(rep)
     lines = [f"script {rep.script!r} on {rep.target!r}"]

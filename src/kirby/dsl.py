@@ -31,7 +31,8 @@ and column.  Values may be integers, `$param` references, signs `+`/`-`,
 bare identifiers, quoted strings, tuples `( ... )`, and matrices
 `[[...],[...]]`.  The list-valued keys (`edges`, `between`, `strands`,
 `through`, `passes`) take a parenthesised tuple, and each diagram and
-surface declaration reads only the keys in its row of `_KEYS`.
+surface declaration reads only the keys in its row of `_KEYS`.  Each
+script step takes the positionals and keys in its row of `_STEPS`.
 """
 
 from __future__ import annotations
@@ -162,21 +163,24 @@ def _sign(value) -> int | None:
     return _SIGNS.get(value) if type(value) in (str, int) else None
 
 
-_STEP_OPS = {
-    "blowdown",
-    "blowup",
-    "slide",
-    "swap_dot",
-    "cancel",
-    "reidemeister",
-    "isotopy",
-    "track",
-    "transfer_sheets",
-    "surface_slide",
-    "band_slide",
-    "split_tube",
-    "cancel_sum",
-    "assert",
+# Each script step: the fewest and most positionals it takes and the keys
+# it reads (for ``assert``, None: every key the engine measures).  The
+# parser refuses any other op, and replay refuses a step of another shape.
+_STEPS = {
+    "blowdown": (1, 1, ()),
+    "blowup": (0, 1, ("sign", "through")),
+    "slide": (2, 2, ("sign",)),
+    "swap_dot": (1, 1, ("cert",)),
+    "cancel": (2, 2, ()),
+    "reidemeister": (1, 1, ("site",)),
+    "isotopy": (0, 0, ("to",)),
+    "track": (0, 1, ("on", "cap")),
+    "transfer_sheets": (2, 2, ()),
+    "surface_slide": (2, 2, ("sign",)),
+    "band_slide": (1, 1, ("ribbon",)),
+    "split_tube": (1, 1, ("sign", "cert", "dual")),
+    "cancel_sum": (0, 0, ()),
+    "assert": (0, 0, None),
 }
 
 # The keys each diagram and surface declaration reads; any other is refused.
@@ -460,7 +464,7 @@ class _Parser:
         self.take("punct", "{")
         steps: list[Step] = []
         while not self.at("punct", "}"):
-            kw = self.keyword(_STEP_OPS, "expected a move or assertion")
+            kw = self.keyword(_STEPS, "expected a move or assertion")
             args: dict = {}
             positional = []
             flag = "certified"

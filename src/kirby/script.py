@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from . import pdcode
 from . import handlebody as hb
 from . import surface as sf
-from .dsl import MoveScript, Step, _sign
+from .dsl import _STEPS, MoveScript, Step, _sign
 from .handlebody import Handlebody
 from .surface import SurfacePresentation
 
@@ -77,6 +77,68 @@ def surface_report(s: SurfacePresentation | None) -> dict | None:
         "sphere": sf.is_sphere(s),
         "sheets": len(s.sheets),
     }
+
+
+def _form(h: Handlebody):
+    try:
+        return [list(r) for r in hb.intersection_form(h).matrix]
+    except hb.HandlebodyError:
+        return "none"
+
+
+# What each assertion key measures, on the engine's host handlebody or on
+# its tracked surface.  An ``assert`` step may also check ``pi1_trivial``
+# and ``sheets_over``, which ``Engine._assert`` measures itself.
+_MEASURES = {
+    "boundary_h1": lambda e: str(hb.boundary_H1(e.state)),
+    "h1": lambda e: str(hb.homology(e.state).h1),
+    "contractible": lambda e: hb.homology(e.state).contractible,
+    "h2_rank": lambda e: hb.homology(e.state).h2_rank,
+    "components": lambda e: len(e.state.diagram.components),
+    "form": lambda e: _form(e.state),
+    "chi": lambda e: sf.euler_characteristic(e._require_surface()),
+    "self_intersection": lambda e: sf.self_intersection(e._require_surface()),
+    "sphere": lambda e: sf.is_sphere(e._require_surface()),
+    "class": lambda e: tuple(sf.homology_class(e._require_surface()).vector),
+}
+_ASSERTIONS = (*_MEASURES, "pi1_trivial", "sheets_over")
+
+
+def _sign_of(value) -> int:
+    """A step's sign: + or - (or +-1), and +1 when absent."""
+    if value is None:
+        return 1
+    sign = _sign(value)
+    if sign is None:
+        raise ScriptError(f"bad sign {value!r}")
+    return sign
+
+
+def _shape(step: Step) -> list:
+    """The positionals of ``step``, once they and its keys fit its row of
+    ``dsl._STEPS``.  A bare ``over`` between two positionals, as in
+    ``slide a over c``, is not one of them."""
+    if step.op not in _STEPS:
+        raise ScriptError(f"unknown step op {step.op!r}")
+    fewest, most, keys = _STEPS[step.op]
+    pos = list(step.args.get("_args", ()))
+    if len(pos) == 3 and pos[1] == "over":
+        del pos[1]
+    given = [k for k in step.args if k != "_args"]
+    what = f"{step.op} key"
+    if keys is None:  # assert: at least one check, each one a measure
+        if pos or not given:
+            raise ScriptError(f"assert needs key=value checks, got {pos or 'none'}")
+        keys, what = _ASSERTIONS, "assertion"
+    if not fewest <= len(pos) <= most:
+        takes = fewest if fewest == most else f"{fewest} to {most}"
+        raise ScriptError(f"wrong number of {step.op} arguments: takes {takes}, got {pos}")
+    for key in given:
+        if key not in keys:
+            raise ScriptError(
+                f"unknown {what} {key!r}; {step.op} reads {', '.join(keys) or 'no key'}"
+            )
+    return pos
 
 
 def _greedy_reduce(d: pdcode.Diagram, budget: int) -> pdcode.Diagram:
@@ -131,8 +193,8 @@ def _diagram_signature(d: pdcode.Diagram):
 
 
 class Engine:
-    """Replays one script.  ``resolve`` maps corpus names to Handlebody or
-    SurfacePresentation objects for isotopy targets."""
+    """Replays one script.  ``resolve`` maps an isotopy target's name to its
+    Handlebody, or to None for an unknown name."""
 
     def __init__(self, target: Handlebody, resolve=None, budget: int | None = None):
         self.state = target
@@ -148,194 +210,84 @@ class Engine:
         if self.surface is not None:
             self.surface = replace(self.surface, host=h)
 
-    def _require_surface(self, index: int) -> SurfacePresentation:
+    def _require_surface(self) -> SurfacePresentation:
         if self.surface is None:
-            raise ScriptError("no tracked surface", index)
+            raise ScriptError("no tracked surface")
         return self.surface
+
+    def _check_no_sheets_on(self, cid: str):
+        if self.surface is not None and any(sh.on == cid for sh in self.surface.sheets):
+            raise ScriptError(f"tracked surface has sheets over {cid}; transfer them first")
 
     # -- steps --------------------------------------------------------------
 
     def run_step(self, step: Step) -> str:
-        op = step.op
-        args = dict(step.args)
-        pos = list(args.pop("_args", ()))
-        i = step.index
-
-        def sign_of(v):
-            if v is None:
-                return 1
-            sign = _sign(v)
-            if sign is None:
-                raise ScriptError(f"bad sign {v!r}", i)
-            return sign
-
+        """Apply ``step`` and return its detail; any refusal is a
+        ScriptError that names the step."""
         try:
-            if op == "blowdown":
-                (uid,) = pos
-                self._check_no_sheets_on(uid, i)
-                self._set_host(hb.blowdown(self.state, uid))
-                return f"blew down {uid}"
-            if op == "blowup":
-                sign = sign_of(pos[0] if pos else args.get("sign"))
-                through = args.get("through", ())
-                self._set_host(hb.blowup(self.state, sign, through))
-                return f"blew up {sign:+d} through {len(through)} strands"
-            if op == "slide":
-                a, c = [p for p in pos if p != "over"]
-                sign = sign_of(args.get("sign"))
-                self._set_host(hb.slide(self.state, a, c, sign))
-                return f"slid {a} over {c} ({sign:+d})"
-            if op == "swap_dot":
-                (cid,) = pos
-                self._set_host(
-                    hb.swap_dot(self.state, cid, certificate=args.get("cert"))
-                )
-                return f"swapped dot on {cid}"
-            if op == "cancel":
-                dot, framed = pos
-                self._check_no_sheets_on(dot, i)
-                self._check_no_sheets_on(framed, i)
-                self._set_host(hb.cancel_pair(self.state, dot, framed))
-                return f"cancelled pair ({dot}, {framed})"
-            if op == "reidemeister":
-                (move,) = pos
-                d = pdcode.reidemeister(self.state.diagram, move, args.get("site", ()))
-                self._set_host(self.state.with_diagram(d))
-                return f"applied {move}"
-            if op == "isotopy":
-                return self._isotopy(step)
-            if op == "track":
-                kind = pos[0] if pos else "sphere"
-                if kind != "sphere":
-                    raise ScriptError(f"cannot track {kind!r}", i)
-                on = args["on"]
-                tracked = sf.capped_sphere(
-                    "tracked", self.state, on, cap=args.get("cap", "d0")
-                )
-                problems = sf.validate_surface(tracked)
-                if problems:
-                    raise ScriptError(
-                        "invalid tracked surface: " + "; ".join(problems), i
-                    )
-                self.surface = tracked
-                return f"tracking sphere over {on}"
-            if op == "transfer_sheets":
-                return self._transfer_sheets(step, pos)
-            if op == "surface_slide":
-                a, c = [p for p in pos if p != "over"]
-                sign = sign_of(args.get("sign"))
-                s = self._require_surface(i)
-                s = sf.surface_slide(s, a, c, sign)
-                self.state = s.host
-                self.surface = s
-                return f"surface-slid {a} over {c} ({sign:+d})"
-            if op == "band_slide":
-                (c,) = pos
-                s = self._require_surface(i)
-                s = sf.band_slide(s, c, args["ribbon"])
-                self.surface = s
-                return f"band-slid over {c}"
-            if op == "split_tube":
-                (c,) = pos
-                sign = sign_of(args.get("sign"))
-                s = self._require_surface(i)
-                cert_token = args.get("cert")
-                if cert_token is None and args.get("dual"):
-                    # the core disk of the dual handle caps the mid-level circle
-                    cert_token = f"dual-disk:{args['dual']}"
-                base, summand = sf.split_tube(s, c, cert_token, sign)
-                dual = None
-                if args.get("dual"):
-                    dual = sf.capped_sphere("dual", self.state, args["dual"])
-                cert = sf.check_sum_well_defined(
-                    base, summand.sphere, self.state, dual_sphere=dual,
-                    budget=self.budget,
-                )
-                if not cert.granted:
-                    raise ScriptError(
-                        "sum well-definedness not granted: " + "; ".join(cert.reasons),
-                        i,
-                    )
-                self.surface = base
-                self.records.append((summand, cert))
-                return f"split {sign:+d} tube over {c}"
-            if op == "cancel_sum":
-                if len(self.records) < 2:
-                    raise ScriptError("need two recorded summands", i)
-                (bar, cert_bar) = self.records.pop()
-                (sph, cert) = self.records.pop()
-                s = self._require_surface(i)
-                self.surface = sf.cancel_sum(
-                    sf.SumRecord(s, sph.sphere, bar.sphere, cert, cert_bar)
-                )
-                return "cancelled sphere summand pair"
-            if op == "assert":
-                return self._assertions(step, args, pos)
-        except (
-            hb.HandlebodyError,
-            sf.SurfaceError,
-            pdcode.DiagramError,
-            ValueError,
-            KeyError,
-        ) as exc:
-            if isinstance(exc, ScriptError):
-                raise
-            raise ScriptError(str(exc), i) from exc
-        raise ScriptError(f"unknown step op {op!r}", i)
+            pos = _shape(step)
+            return self._HANDLERS[step.op](self, step, *pos)
+        except (ValueError, KeyError) as exc:
+            raise ScriptError(str(exc), step.index) from exc
 
-    def _check_no_sheets_on(self, cid: str, index: int):
-        if self.surface is not None and any(
-            sh.on == cid for sh in self.surface.sheets
-        ):
-            raise ScriptError(
-                f"tracked surface has sheets over {cid}; transfer them first", index
-            )
+    def _blowdown(self, step: Step, uid) -> str:
+        self._check_no_sheets_on(uid)
+        self._set_host(hb.blowdown(self.state, uid))
+        return f"blew down {uid}"
 
-    def _transfer_sheets(self, step: Step, pos) -> str:
-        src, dst = pos
-        i = step.index
-        s = self._require_surface(i)
-        a = self.state.diagram.component(src)
-        b = self.state.diagram.component(dst)
-        if a.kind != pdcode.FRAMED or b.kind != pdcode.FRAMED:
-            raise ScriptError("sheets live over 2-handles", i)
-        before = sf.self_intersection(s)
-        moved = replace(
-            s,
-            sheets=tuple(
-                replace(sh, on=dst) if sh.on == src else sh for sh in s.sheets
-            ),
-        )
-        if sf.self_intersection(moved) != before:
-            raise ScriptError("transfer changes the self-intersection", i)
-        if step.flag != "trusted-endpoints":
-            if src != dst:
-                raise ScriptError(
-                    "sheet transfer between distinct handles cannot be certified",
-                    i,
-                )
-        self.surface = moved
-        return f"transferred sheets {src} -> {dst} ({step.flag})"
+    def _blowup(self, step: Step, sign=None) -> str:
+        sign = _sign_of(step.args.get("sign") if sign is None else sign)
+        through = step.args.get("through", ())
+        h = hb.blowup(self.state, sign, through)
+        owner = self.state.diagram.edge_owner()
+        for p in through:
+            self._check_no_sheets_on(owner[p if isinstance(p, str) else p[0]])
+        self._set_host(h)
+        return f"blew up {sign:+d} through {len(through)} strands"
+
+    def _slide(self, step: Step, a, c) -> str:
+        """``slide`` and ``surface_slide``: a tracked surface's sheets over
+        ``a`` are dragged along; ``surface_slide`` requires one."""
+        sign = _sign_of(step.args.get("sign"))
+        if step.op == "surface_slide" or self.surface is not None:
+            self.surface = sf.surface_slide(self._require_surface(), a, c, sign)
+            self.state = self.surface.host
+        else:
+            self._set_host(hb.slide(self.state, a, c, sign))
+        verb = "surface-slid" if step.op == "surface_slide" else "slid"
+        return f"{verb} {a} over {c} ({sign:+d})"
+
+    def _swap_dot(self, step: Step, cid) -> str:
+        self._check_no_sheets_on(cid)
+        self._set_host(hb.swap_dot(self.state, cid, certificate=step.args.get("cert")))
+        return f"swapped dot on {cid}"
+
+    def _cancel(self, step: Step, dot, framed) -> str:
+        self._check_no_sheets_on(dot)
+        self._check_no_sheets_on(framed)
+        self._set_host(hb.cancel_pair(self.state, dot, framed))
+        return f"cancelled pair ({dot}, {framed})"
+
+    def _reidemeister(self, step: Step, move) -> str:
+        site = step.args.get("site", ())
+        kink = type(site) is tuple and len(site) == 3 and site[0] == "insert"
+        if kink and str(move).upper() == "R1":
+            site = (*site[:2], _sign_of(site[2]))
+        self._set_host(self.state.with_diagram(pdcode.reidemeister(self.state.diagram, move, site)))
+        return f"applied {move}"
 
     def _isotopy(self, step: Step) -> str:
-        i = step.index
         name = step.args.get("to")
         if not isinstance(name, str) or not name:
-            raise ScriptError("isotopy needs to=<name>", i)
-        target = self.resolve(name)
-        if target is None:
-            raise ScriptError(f"unknown isotopy target {name!r}", i)
-        if isinstance(target, Handlebody):
-            goal = target
-        else:
-            goal = Handlebody(target)
+            raise ScriptError("isotopy needs to=<name>")
+        goal = self.resolve(name)
+        if goal is None:
+            raise ScriptError(f"unknown isotopy target {name!r}")
         if step.flag == "certified":
             a = _greedy_reduce(self.state.diagram, self.budget)
             b = _greedy_reduce(goal.diagram, self.budget)
             if _diagram_signature(a) != _diagram_signature(b):
-                raise ScriptError(
-                    f"bounded search could not certify isotopy to {name!r}", i
-                )
+                raise ScriptError(f"bounded search could not certify isotopy to {name!r}")
         mine = hb.invariant_report(self.state)
         theirs = hb.invariant_report(goal)
         if mine != theirs:
@@ -344,80 +296,121 @@ class Engine:
                 for k in set(mine) | set(theirs)
                 if mine.get(k) != theirs.get(k)
             }
-            raise ScriptError(f"invariant reports differ at {name!r}: {diff}", i)
-        before = (
-            surface_report(self.surface) if self.surface is not None else None
-        )
+            raise ScriptError(f"invariant reports differ at {name!r}: {diff}")
+        before = surface_report(self.surface)
         # components correspond by position (the linking matrices agree in
         # that order); carry tracked sheets across any renaming
         rename = {
             old.id: new.id
-            for old, new in zip(
-                self.state.diagram.components, goal.diagram.components
-            )
+            for old, new in zip(self.state.diagram.components, goal.diagram.components)
         }
         self._set_host(goal)
         if self.surface is not None:
             self.surface = replace(
                 self.surface,
                 sheets=tuple(
-                    replace(sh, on=rename.get(sh.on, sh.on))
-                    for sh in self.surface.sheets
+                    replace(sh, on=rename.get(sh.on, sh.on)) for sh in self.surface.sheets
                 ),
             )
-        if before is not None:
-            after = surface_report(self.surface)
-            if before != after:
-                raise ScriptError("tracked surface invariants changed", i)
+            if surface_report(self.surface) != before:
+                raise ScriptError("tracked surface invariants changed")
         return f"isotoped to {name!r} ({step.flag})"
 
-    def _assertions(self, step: Step, args: dict, pos) -> str:
-        i = step.index
-        if pos or not args:
-            raise ScriptError(f"assert needs key=value checks, got {pos or 'none'}", i)
+    def _track(self, step: Step, kind="sphere") -> str:
+        if kind != "sphere":
+            raise ScriptError(f"cannot track {kind!r}")
+        on = step.args["on"]
+        tracked = sf.capped_sphere("tracked", self.state, on, cap=step.args.get("cap", "d0"))
+        problems = sf.validate_surface(tracked)
+        if problems:
+            raise ScriptError("invalid tracked surface: " + "; ".join(problems))
+        self.surface = tracked
+        return f"tracking sphere over {on}"
+
+    def _transfer_sheets(self, step: Step, src, dst) -> str:
+        s = self._require_surface()
+        if any(self.state.diagram.component(x).kind != pdcode.FRAMED for x in (src, dst)):
+            raise ScriptError("sheets live over 2-handles")
+        moved = replace(
+            s, sheets=tuple(replace(sh, on=dst) if sh.on == src else sh for sh in s.sheets)
+        )
+        if sf.self_intersection(moved) != sf.self_intersection(s):
+            raise ScriptError("transfer changes the self-intersection")
+        if step.flag != "trusted-endpoints" and src != dst:
+            raise ScriptError("sheet transfer between distinct handles cannot be certified")
+        self.surface = moved
+        return f"transferred sheets {src} -> {dst} ({step.flag})"
+
+    def _band_slide(self, step: Step, c) -> str:
+        self.surface = sf.band_slide(self._require_surface(), c, step.args["ribbon"])
+        return f"band-slid over {c}"
+
+    def _split_tube(self, step: Step, c) -> str:
+        sign = _sign_of(step.args.get("sign"))
+        dual = step.args.get("dual")
+        cert_token = step.args.get("cert")
+        if cert_token is None and dual:
+            # the core disk of the dual handle caps the mid-level circle
+            cert_token = f"dual-disk:{dual}"
+        base, summand = sf.split_tube(self._require_surface(), c, cert_token, sign)
+        cert = sf.check_sum_well_defined(
+            base,
+            summand.sphere,
+            self.state,
+            dual_sphere=sf.capped_sphere("dual", self.state, dual) if dual else None,
+            budget=self.budget,
+        )
+        if not cert.granted:
+            raise ScriptError("sum well-definedness not granted: " + "; ".join(cert.reasons))
+        self.surface = base
+        self.records.append((summand, cert))
+        return f"split {sign:+d} tube over {c}"
+
+    def _cancel_sum(self, step: Step) -> str:
+        if len(self.records) < 2:
+            raise ScriptError("need two recorded summands")
+        (bar, cert_bar) = self.records.pop()
+        (sph, cert) = self.records.pop()
+        self.surface = sf.cancel_sum(
+            sf.SumRecord(self._require_surface(), sph.sphere, bar.sphere, cert, cert_bar)
+        )
+        return "cancelled sphere summand pair"
+
+    def _assert(self, step: Step) -> str:
         checked = []
-        for key, want in args.items():
+        for key, want in step.args.items():
+            if key == "_args":
+                continue
+            note = ""
             if key == "pi1_trivial":
                 got, note = hb.pi1_trivial(self.state, self.budget)
+            elif key == "sheets_over":
+                if not (type(want) is tuple and len(want) == 2):
+                    raise ScriptError(f"sheets_over needs (handle, count), got {want!r}")
+                got = (want[0], sum(sh.on == want[0] for sh in self._require_surface().sheets))
             else:
-                got, note = self._measure(key, want, i), ""
+                got = _MEASURES[key](self)
             if got != want:
-                raise ScriptError(
-                    f"assertion {key} failed: expected {want!r}, got {got!r}{note}", i
-                )
+                raise ScriptError(f"assertion {key} failed: expected {want!r}, got {got!r}{note}")
             checked.append(key)
         return "asserted " + ", ".join(checked)
 
-    def _measure(self, key: str, want, index: int):
-        if key == "boundary_h1":
-            return str(hb.boundary_H1(self.state))
-        if key == "h1":
-            return str(hb.homology(self.state).h1)
-        if key == "contractible":
-            return hb.homology(self.state).contractible
-        if key == "h2_rank":
-            return hb.homology(self.state).h2_rank
-        if key == "components":
-            return len(self.state.diagram.components)
-        if key == "form":
-            try:
-                return [list(r) for r in hb.intersection_form(self.state).matrix]
-            except hb.HandlebodyError:
-                return "none"
-        if key == "chi":
-            return sf.euler_characteristic(self._require_surface(index))
-        if key == "self_intersection":
-            return sf.self_intersection(self._require_surface(index))
-        if key == "sphere":
-            return sf.is_sphere(self._require_surface(index))
-        if key == "class":
-            return tuple(sf.homology_class(self._require_surface(index)).vector)
-        if key == "sheets_over":
-            comp, expected = want
-            s = self._require_surface(index)
-            count = sum(1 for sh in s.sheets if sh.on == comp)
-            return (comp, count)
-        raise ScriptError(f"unknown assertion {key!r}", index)
+    _HANDLERS = {
+        "blowdown": _blowdown,
+        "blowup": _blowup,
+        "slide": _slide,
+        "swap_dot": _swap_dot,
+        "cancel": _cancel,
+        "reidemeister": _reidemeister,
+        "isotopy": _isotopy,
+        "track": _track,
+        "transfer_sheets": _transfer_sheets,
+        "surface_slide": _slide,
+        "band_slide": _band_slide,
+        "split_tube": _split_tube,
+        "cancel_sum": _cancel_sum,
+        "assert": _assert,
+    }
 
 
 def run(
@@ -428,11 +421,10 @@ def run(
 ) -> ScriptReport:
     engine = Engine(target, resolve=resolve, budget=budget)
     results = []
-    ok = True
     for step in script.steps:
+        good = True
         try:
             detail = engine.run_step(step)
-            good = True
         except ScriptError as exc:
             detail = str(exc)
             good = False
@@ -447,12 +439,11 @@ def run(
             )
         )
         if not good:
-            ok = False
             break
     return ScriptReport(
         script=script.name,
         target=script.target,
-        ok=ok,
+        ok=all(r.ok for r in results),
         steps=tuple(results),
         final=hb.invariant_report(engine.state),
         surface=surface_report(engine.surface),

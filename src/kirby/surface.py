@@ -9,9 +9,9 @@ the signed sheet count vector over the 2-handle basis, and the
 self-intersection is evaluated against the host's linking matrix.
 
 Slides drag sheets: a handle slide of ``a`` over ``c`` gives each sheet
-over ``a`` a new neighbour sheet over ``c`` joined by a neck ribbon, so
-the class changes by the signed sheet count while the Euler
-characteristic is untouched.  A band slide performs the two bounding
+over ``a`` a new neighbour sheet over ``c`` joined by a neck ribbon, which
+rewrites the class in the slid basis, so the self-intersection and the
+Euler characteristic are untouched.  A band slide performs the two bounding
 slides with opposite orientations and changes nothing homological.
 
 ``capped_sphere`` builds the one sphere piece the calculus tracks and
@@ -179,10 +179,11 @@ def surface_slide(
 ) -> SurfacePresentation:
     """Slide 2-handle ``a`` over ``c``, dragging the sheets over ``a``.
 
-    Each dragged sheet acquires a neighbour sheet over ``c`` (same
-    orientation times the slide sign) joined by a neck ribbon, so the
-    class changes by (signed sheet count over a) * sign * e_c and the
-    Euler characteristic is unchanged.
+    The slid handle is a + sign*c in H2, so the old class e_a reads
+    e_a - sign*e_c: each dragged sheet acquires a neighbour sheet over
+    ``c`` of the opposite orientation times the slide sign, joined by a
+    neck ribbon.  The self-intersection and Euler characteristic are
+    unchanged.
     """
     host = hb.slide(s.host, a, c, sign)
     sheets = list(s.sheets)
@@ -192,7 +193,7 @@ def surface_slide(
         if sh.on != a:
             continue
         nid = pdcode._fresh(used, "s")
-        sheets.append(Sheet(nid, c, sh.sign * sign))
+        sheets.append(Sheet(nid, c, -sh.sign * sign))
         ribbons.append(Ribbon(pdcode._fresh(used, "neck"), (sh.id, nid)))
     return replace(s, host=host, sheets=tuple(sheets), ribbons=tuple(ribbons))
 
@@ -342,8 +343,8 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
     ribbon, whose attaching circle enters the first disk, repeats the
     band's recorded passes, and leaves through the second disk.  The
     passes carry all the linking, so the diagram has no crossings.  Two
-    ribbons of one id, or a minimum named like a handle ``h.<ribbon>``,
-    raise SurfaceError."""
+    ribbons of one id, a minimum named like a handle ``h.<ribbon>``, or a
+    pass sign other than +-1 raise SurfaceError."""
     if r.sheets:
         raise SurfaceError("ribbon surfaces have no sheets")
     if r.maxima:
@@ -363,6 +364,8 @@ def ribbon_complement(r: SurfacePresentation) -> Handlebody:
             raise SurfaceError(f"ribbon {rib.id} must join two minima")
         if any(d not in disks for d, _ in rib.passes):
             raise SurfaceError(f"ribbon {rib.id} passes a disk that is not a minimum")
+        if not all(pdcode._is_sign(s) for _, s in rib.passes):
+            raise SurfaceError(f"ribbon {rib.id} has a pass sign other than +-1")
         words[hid] = [(a, 1), *rib.passes, (b, -1)]
     comps = [(d, pdcode.DOTTED, None) for d in disks] + [(hid, pdcode.FRAMED, 0) for hid in handles]
     return Handlebody(pdcode._from_words(r.name, comps, words, {}))

@@ -186,6 +186,9 @@ def test_run_invalid_tracked_surface_exits_1(tmp_path, capsys):
     "blowup + through=ab;",
     "isotopy to=[[1]];",
     "reidemeister R1 site=(insert, a);",
+    "blowup + thru=(a);",
+    "blowdown;",
+    "track sphere on=a; swap_dot a cert=disk;",
 ])
 def test_run_refuses_malformed_steps_with_exit_1(tmp_path, capsys, step):
     p = tmp_path / "steps.kd"
@@ -197,3 +200,18 @@ def test_run_refuses_malformed_steps_with_exit_1(tmp_path, capsys, step):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("diagram", [
+    "component a kind=framed framing=0; component b kind=framed framing=0; "
+    "across x sign=+ between=(a,b);",
+    "component a kind=framed framing=0 edges=(a1,a2); cross x sign=+ over=0 edges=(a1,a2,a9,a1);",
+])
+def test_run_refuses_an_invalid_target_with_exit_2(tmp_path, capsys, diagram):
+    p = tmp_path / "target.kd"
+    p.write_text(f"diagram D {{ {diagram} }}\nscript s on D {{ assert components=1; }}\n")
+    assert cli.main(["run", str(p), "--script", "s"]) == 2
+    assert cli.main(["invariants", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: diagram 'D' is invalid: ")
+    assert captured.out == ""

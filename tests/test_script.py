@@ -356,15 +356,51 @@ UNKNOT = "diagram U { component a kind=framed framing=0 edges=(a1,a2); }\n"
     ("reidemeister R1 site=(insert, a1, 1, 2);", "malformed R1 site ('insert', 'a1', 1, 2)"),
     ("reidemeister R3 site=(x);", "malformed R3 site ('x',)"),
     ("reidemeister R1 site=insert;", "unknown move 'R1' or site 'insert'"),
+    ("blowup + thru=(a1);", "unknown blowup key 'thru'; blowup reads sign, through"),
+    ("slide a over b sgn=-;", "unknown slide key 'sgn'; slide reads sign"),
+    ("blowdown;", "wrong number of blowdown arguments: takes 1, got []"),
+    ("cancel a b c;", "wrong number of cancel arguments: takes 2, got ['a', 'b', 'c']"),
+    ("track sphere on=a; blowup + through=(a1);", "tracked surface has sheets over a; transfer them first"),
+    ("track sphere on=a; swap_dot a cert=disk;", "tracked surface has sheets over a; transfer them first"),
 ])
 def test_steps_that_check_nothing_or_misread_are_refused(steps, detail):
     report = run_text(UNKNOT + f"script s on U {{ {steps} }}")
     assert not report.ok
-    assert report.steps[-1].detail == f"step 0: {detail}"
+    # the last step listed is the one refused
+    assert report.steps[-1].detail == f"step {steps.count(';') - 1}: {detail}"
 
 
 def test_well_formed_steps_still_replay():
     steps = ("assert components=1 boundary_h1=Z; reidemeister R1 site=(insert, a2, 1); "
+             "reidemeister R1 site=(insert, a2, +); "
              "isotopy to=U trusted_endpoints; blowup + through=(a1); assert components=2;")
     report = run_text(UNKNOT + f"script s on U {{ {steps} }}")
     assert report.ok, report.steps[-1].detail
+
+
+def test_plain_slide_drags_the_tracked_sphere():
+    # a slide of the sheet's handle k over h rewrites the class as e_k - e_h,
+    # so the sphere keeps its self-intersection
+    report = run_text(
+        """
+    diagram two {
+      component k kind=framed framing=1;
+      component h kind=framed framing=1;
+    }
+    script moves on two {
+      track sphere on=k;
+      slide k over h;
+      assert class=(1, -1) self_intersection=1 chi=2 sphere=true;
+    }
+    """
+    )
+    assert report.ok, report.steps[-1].detail
+    assert report.steps[1].detail == "slid k over h (+1)"
+    assert report.surface["self_intersection"] == 1 and report.surface["sheets"] == 2
+
+
+def test_every_step_op_has_one_handler():
+    # dsl._STEPS states the ops; the engine dispatches each to its handler
+    assert set(script.Engine._HANDLERS) == set(dsl._STEPS)
+    with pytest.raises(dsl.ParseError, match="expected a move or assertion"):
+        dsl.parse(UNKNOT + "script s on U { teleport a; }")

@@ -2,6 +2,7 @@
 connected-sum cancellation, and ribbon complements."""
 
 import random
+from itertools import product
 
 import pytest
 import sympy
@@ -80,16 +81,17 @@ def test_self_intersection_uses_full_linking_form():
 # -- slides ----------------------------------------------------------------
 
 
-def test_surface_slide_drags_sheets(rng):
-    for sign in (1, -1):
-        s = capped_sphere(host_two_handles(f_a=1, f_c=0, lk=1))
+def test_surface_slide_drags_sheets():
+    for (f_a, f_c, lk), sign in product([(1, 0, 1), (1, 1, 0), (2, -1, -2), (0, 3, 1)], (1, -1)):
+        s = capped_sphere(host_two_handles(f_a=f_a, f_c=f_c, lk=lk))
         out = surface.surface_slide(s, "a", "c", sign)
         assert surface.validate_surface(out) == []
-        # class gains sign * e_c, chi is unchanged, square matches oracle
+        # the slid handle is a + sign*c, so e_a reads e_a - sign*e_c: the
+        # class gains -sign * e_c, and chi and the square are unchanged
         cls = surface.homology_class(out)
-        assert dict(zip(cls.basis, cls.vector)) == {"a": 1, "c": sign}
+        assert dict(zip(cls.basis, cls.vector)) == {"a": 1, "c": -sign}
         assert surface.euler_characteristic(out) == 2
-        assert surface.self_intersection(out) == oracle_square(out)
+        assert surface.self_intersection(out) == oracle_square(out) == surface.self_intersection(s)
         # the host diagram slid underneath
         assert out.host.diagram != s.host.diagram
 
@@ -125,7 +127,7 @@ def test_split_tube_requires_certificate_and_shape():
         surface.split_tube(slid, "c")  # no certificate
     with pytest.raises(surface.SurfaceError):
         surface.split_tube(slid, "a", certificate="tok")  # framing 1
-    base, summand = surface.split_tube(slid, "c", certificate="tok")
+    base, summand = surface.split_tube(slid, "c", certificate="tok", sign=-1)
     assert surface.is_sphere(summand.sphere)
     total = surface.homology_class(slid)
     parts = surface.homology_class(base) + surface.homology_class(summand.sphere)
@@ -305,6 +307,17 @@ def test_ribbon_complement_refuses_clashing_ids():
     )
     with pytest.raises(surface.SurfaceError, match="repeat component id 'h.r'"):
         surface.ribbon_complement(handle_named)
+
+
+@pytest.mark.parametrize("sign", [2, True, 0])
+def test_ribbon_complement_refuses_pass_signs_other_than_one(sign):
+    s = SurfacePresentation(
+        "signed", ball(), minima=(Disk("x"), Disk("y")),
+        ribbons=(Ribbon("r", ("x", "y"), passes=(("x", sign),)),),
+    )
+    assert f"ribbon r has pass sign {sign}" in surface.validate_surface(s)
+    with pytest.raises(surface.SurfaceError, match="pass sign other than"):
+        surface.ribbon_complement(s)
 
 
 def model_complement(r):
