@@ -32,7 +32,8 @@ bare identifiers, quoted strings, tuples `( ... )`, and matrices
 `[[...],[...]]`.  The list-valued keys (`edges`, `between`, `strands`,
 `through`, `passes`) take a parenthesised tuple, and each diagram and
 surface declaration reads only the keys in its row of `_KEYS`.  Each
-script step takes the positionals and keys in its row of `_STEPS`.
+script step takes the positionals and keys in its row of `_STEPS`, and
+must have the keys that row requires.
 """
 
 from __future__ import annotations
@@ -163,24 +164,25 @@ def _sign(value) -> int | None:
     return _SIGNS.get(value) if type(value) in (str, int) else None
 
 
-# Each script step: the fewest and most positionals it takes and the keys
-# it reads (for ``assert``, None: every key the engine measures).  The
-# parser refuses any other op, and replay refuses a step of another shape.
+# Each script step: the fewest and most positionals it takes, the keys it
+# reads (for ``assert``, None: every key the engine measures) and the keys
+# it must have.  The parser refuses any other op, and replay refuses a step
+# of another shape.
 _STEPS = {
-    "blowdown": (1, 1, ()),
-    "blowup": (0, 1, ("sign", "through")),
-    "slide": (2, 2, ("sign",)),
-    "swap_dot": (1, 1, ("cert",)),
-    "cancel": (2, 2, ()),
-    "reidemeister": (1, 1, ("site",)),
-    "isotopy": (0, 0, ("to",)),
-    "track": (0, 1, ("on", "cap")),
-    "transfer_sheets": (2, 2, ()),
-    "surface_slide": (2, 2, ("sign",)),
-    "band_slide": (1, 1, ("ribbon",)),
-    "split_tube": (1, 1, ("sign", "cert", "dual")),
-    "cancel_sum": (0, 0, ()),
-    "assert": (0, 0, None),
+    "blowdown": (1, 1, (), ()),
+    "blowup": (0, 1, ("sign", "through"), ()),
+    "slide": (2, 2, ("sign",), ()),
+    "swap_dot": (1, 1, ("cert",), ()),
+    "cancel": (2, 2, (), ()),
+    "reidemeister": (1, 1, ("site",), ()),
+    "isotopy": (0, 0, ("to",), ("to",)),
+    "track": (0, 1, ("on", "cap"), ("on",)),
+    "transfer_sheets": (2, 2, (), ()),
+    "surface_slide": (2, 2, ("sign",), ()),
+    "band_slide": (1, 1, ("ribbon",), ("ribbon",)),
+    "split_tube": (1, 1, ("sign", "cert", "dual"), ()),
+    "cancel_sum": (0, 0, (), ()),
+    "assert": (0, 0, None, ()),
 }
 
 # The keys each diagram and surface declaration reads; any other is refused.

@@ -9,6 +9,7 @@ exceptional classes, and passing to the orthogonal complement of a +-1 class
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -181,6 +182,28 @@ class StableEquivalence:
         return self.status == "equivalent"
 
 
+@functools.lru_cache(maxsize=8)
+def _stabilizations(allowed: tuple[str, ...], max_count: int) -> tuple:
+    """Every way to add at most ``max_count`` of each allowed summand, as
+    (counts, added to pos, added to neg, makes the form odd), in
+    ``product`` order stably sorted by the number of summands.  Built on
+    first use for each (allowed, max_count); the cache is bounded because
+    a table has (max_count + 1) ** len(allowed) rows."""
+    table = []
+    for counts in product(range(max_count + 1), repeat=len(allowed)):
+        dpos = dneg = 0
+        makes_odd = False
+        for name, k in zip(allowed, counts):
+            if name != "<-1>":
+                dpos += k
+            if name != "<1>":
+                dneg += k
+            makes_odd = makes_odd or (name != "H" and k > 0)
+        table.append((counts, dpos, dneg, makes_odd))
+    table.sort(key=lambda row: sum(row[0]))
+    return tuple(table)
+
+
 def stably_equivalent(
     q1: BilinearForm,
     q2: BilinearForm,
@@ -201,29 +224,20 @@ def stably_equivalent(
     if abs(intmat.det(q1.rows)) != 1 or abs(intmat.det(q2.rows)) != 1:
         return StableEquivalence("unsupported")  # rank/sig/parity do not classify
 
-    names = list(allowed)
+    names = tuple(allowed)
     pos1, neg1, _ = intmat.inertia(q1.rows)
     pos2, neg2, _ = intmat.inertia(q2.rows)
     odd1 = q1.parity == "odd"
     odd2 = q2.parity == "odd"
-
-    def stabilized(pos, neg, odd, counts):
-        for name, k in zip(names, counts):
-            if name == "<1>":
-                pos, odd = pos + k, odd or k > 0
-            elif name == "<-1>":
-                neg, odd = neg + k, odd or k > 0
-            else:
-                pos, neg = pos + k, neg + k
-        return pos, neg, odd
+    table = _stabilizations(names, max_count)
 
     def fewest(pos, neg, odd):
         # first counts in product order with the fewest summands, per (pos, neg)
         # of an odd indefinite stabilization: (rank, sig) decide only those
         found = {}
-        for counts in sorted(product(range(max_count + 1), repeat=len(names)), key=sum):
-            p, n, o = stabilized(pos, neg, odd, counts)
-            if o and p > 0 and n > 0:
+        for counts, dpos, dneg, makes_odd in table:
+            p, n = pos + dpos, neg + dneg
+            if (odd or makes_odd) and p > 0 and n > 0:
                 found.setdefault((p, n), counts)
         return found
 

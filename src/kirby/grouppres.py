@@ -10,6 +10,7 @@ presentation reproduces the output exactly.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections import Counter
@@ -221,30 +222,74 @@ class GroupPresentation:
 #
 # Relators are kept cyclically reduced and nonempty: a relator that a step
 # leaves empty is dropped right after that step, so every index refers to
-# the list as the step before left it.
+# the list as the step before left it.  Log indices are positional at the
+# time of their step: g counts the generators still present, from 1.
+#
+# While a log is applied, letters keep the ids of the presentation it
+# started from, and only the result is renumbered.  That renumbering keeps
+# the order of letters (negatives below positives, each side by id), so
+# every comparison of words or ids that picks a step picks the same one
+# as it would on renumbered words.
+
+
+class _Tietze:
+    """The working state of a Tietze log: the relators over the original
+    generator ids, the ids still present (ascending), and per relator its
+    letters sorted by id and the least id that occurs in it once (0 if
+    none).  A relator's facts are recomputed only when it is edited."""
+
+    __slots__ = ("names", "live", "rels", "facts")
+
+    def __init__(self, g: GroupPresentation):
+        self.names = g.generators
+        self.live = list(range(1, g.rank + 1))
+        self.rels = [w for w in map(cyclic_reduce, g.relators) if w]
+        self.facts = list(map(_facts, self.rels))
+
+    def edit(self, i: int, w: Word) -> None:
+        """Relator i := w, dropped when w is empty."""
+        if w:
+            self.rels[i], self.facts[i] = w, _facts(w)
+        else:
+            del self.rels[i], self.facts[i]
+
+    def presentation(self) -> GroupPresentation:
+        """The state with its generators renumbered 1, 2, ... in id order."""
+        number = {}
+        for k, x in enumerate(self.live, 1):
+            number[x], number[-x] = k, -k
+        return GroupPresentation(
+            tuple(self.names[x - 1] for x in self.live),
+            tuple(tuple(map(number.__getitem__, r)) for r in self.rels),
+        )
+
+
+def _facts(w: Word) -> tuple[Word, int]:
+    """(w's letters by id, the least id occurring once in w or 0)."""
+    letters = tuple(sorted(map(abs, w)))
+    last = len(letters) - 1
+    for k, x in enumerate(letters):
+        # sorted, x occurs once when neither neighbour equals it
+        if (k == 0 or letters[k - 1] != x) and (k == last or letters[k + 1] != x):
+            return letters, x
+    return letters, 0
 
 
 def apply_tietze(g: GroupPresentation, log) -> GroupPresentation:
     """Replay a Tietze log, checking each step's legality.  Empty
     relators of ``g`` are dropped before the first step."""
-    gens, rels = _working_lists(g)
+    state = _Tietze(g)
     for step in log:
-        _apply_step(gens, rels, step)
-    return GroupPresentation(tuple(gens), tuple(rels))
-
-
-def _working_lists(g: GroupPresentation) -> tuple[list[str], list[Word]]:
-    """The generators and the nonempty cyclically reduced relators of g,
-    as the lists that ``_apply_step`` edits."""
-    return list(g.generators), [w for w in map(cyclic_reduce, g.relators) if w]
+        _apply_step(state, step)
+    return state.presentation()
 
 
 # the number of integer arguments of each Tietze step
 _STEP_ARITY = {"invert": 1, "rotate": 2, "multiply": 2, "remove": 1, "eliminate": 2}
 
 
-def _apply_step(gens: list[str], rels: list[Word], step) -> None:
-    """Check one Tietze step and apply it to the two lists in place."""
+def _apply_step(state: _Tietze, step) -> None:
+    """Check one Tietze step and apply it to the state in place."""
     if not (isinstance(step, tuple) and step and isinstance(step[0], str)):
         raise GroupError(f"malformed Tietze step {step!r}")
     op = step[0]
@@ -252,12 +297,14 @@ def _apply_step(gens: list[str], rels: list[Word], step) -> None:
         raise GroupError(f"unknown Tietze step {step!r}")
     if len(step) != 1 + _STEP_ARITY[op] or any(type(a) is not int for a in step[1:]):
         raise GroupError(f"Tietze step {step!r}: {op} takes {_STEP_ARITY[op]} integer arguments")
+    rels, facts = state.rels, state.facts
 
     def check(i: int) -> int:
         if not 0 <= i < len(rels):
             raise GroupError(f"relator index {i!r} out of range")
         return i
 
+    # inverting or rotating a relator keeps its letters, so its facts stay
     if op == "invert":
         i = check(step[1])
         rels[i] = invert_word(rels[i])
@@ -268,22 +315,23 @@ def _apply_step(gens: list[str], rels: list[Word], step) -> None:
         i, j = check(step[1]), check(step[2])
         if i == j:
             raise GroupError("cannot multiply a relator into itself")
-        rels[i] = cyclic_reduce(rels[i] + rels[j])
-        if not rels[i]:
-            del rels[i]
+        state.edit(i, cyclic_reduce(rels[i] + rels[j]))
     elif op == "remove":
+        # a rotation has the same letters, so only relators with the same
+        # sorted letters are compared by least rotation
         i = check(step[1])
-        key = _least_rotation(rels[i])
+        letters, key = facts[i][0], _least_rotation(rels[i])
         if not any(
-            len(s) == len(key) and _least_rotation(s) == key for k, s in enumerate(rels) if k != i
+            k != i and f[0] == letters and _least_rotation(rels[k]) == key
+            for k, f in enumerate(facts)
         ):
             raise GroupError(f"relator {i} is not redundant")
-        del rels[i]
+        del rels[i], facts[i]
     elif op == "eliminate":
         gen_idx, i = step[1], check(step[2])
-        if not 1 <= gen_idx <= len(gens):
+        if not 1 <= gen_idx <= len(state.live):
             raise GroupError(f"generator index {gen_idx!r} out of range")
-        _eliminate(gens, rels, gen_idx, i)
+        _eliminate(state, gen_idx, i)
 
 
 def _least_rotation(w: Word) -> Word:
@@ -292,40 +340,29 @@ def _least_rotation(w: Word) -> Word:
     return min((w[k:] + w[:k] for k in range(len(w))), default=w)
 
 
-def _eliminate(gens: list[str], rels: list[Word], gen_idx: int, i: int) -> None:
-    """Remove generator ``gen_idx`` (1-based) using relator i, in which it
-    occurs exactly once, and substitute for it in the other relators."""
-    r = rels[i]
-    hits = [k for k, x in enumerate(r) if abs(x) == gen_idx]
-    if len(hits) != 1:
-        raise GroupError(f"generator occurs {len(hits)} times in relator {i}")
+def _eliminate(state: _Tietze, gen_idx: int, i: int) -> None:
+    """Remove the ``gen_idx``-th (1-based) remaining generator using
+    relator i, in which it occurs exactly once, and substitute for it in
+    the relators that contain it."""
+    gen = state.live[gen_idx - 1]
+    r = state.rels[i]
+    count = r.count(gen) + r.count(-gen)
+    if count != 1:
+        raise GroupError(f"generator occurs {count} times in relator {i}")
     # r = u g^e v = 1  =>  g^e = u^-1 v^-1
-    k = hits[0]
+    k = r.index(gen) if gen in r else r.index(-gen)
     u, e, v = r[:k], r[k], r[k + 1:]
     repl = invert_word(u) + invert_word(v)
     if e < 0:
         repl = invert_word(repl)
+    image = {gen: repl, -gen: invert_word(repl)}
 
-    # one image per letter: the other generators move down past gen_idx,
-    # and ±gen_idx becomes the shifted replacement or its inverse
-    image = {
-        x: (x - 1 if x > gen_idx else x,) for x in range(1, len(gens) + 1) if x != gen_idx
-    }
-    image.update({-x: (-y,) for x, (y,) in image.items()})
-    image[gen_idx] = tuple(y for x in repl for y in image[x])
-    image[-gen_idx] = invert_word(image[gen_idx])
-
-    del gens[gen_idx - 1], rels[i]
-    # only a relator that contained ±gen_idx can need reducing: the shift
-    # alone renames letters one to one and keeps their order
-    out = []
-    for s in rels:
-        w = tuple(itertools.chain.from_iterable(map(image.__getitem__, s)))
-        if gen_idx in s or -gen_idx in s:
-            w = cyclic_reduce(w)
-        if w:
-            out.append(w)
-    rels[:] = out
+    del state.live[gen_idx - 1], state.rels[i], state.facts[i]
+    # walk down, so that dropping an emptied relator moves no index to come
+    for j in range(len(state.rels) - 1, -1, -1):
+        s = state.rels[j]
+        if gen in s or -gen in s:
+            state.edit(j, cyclic_reduce([y for x in s for y in image.get(x, (x,))]))
 
 
 @dataclass(frozen=True)
@@ -339,32 +376,33 @@ def tietze_simplify(g: GroupPresentation, budget: int = 1000) -> Simplification:
     """Greedy deterministic simplification: drop redundant relators,
     eliminate generators with a single occurrence in some relator, and
     shorten relators against each other.  Every step is logged."""
-    gens, rels = _working_lists(g)
+    state = _Tietze(g)
     log: list[tuple] = []
 
     def result(exhausted: bool) -> Simplification:
-        return Simplification(GroupPresentation(tuple(gens), tuple(rels)), tuple(log), exhausted)
+        return Simplification(state.presentation(), tuple(log), exhausted)
 
-    while steps := _next_steps(rels):
+    while steps := _next_steps(state):
         for step in steps:
             if len(log) >= budget:
                 return result(True)
             log.append(step)
-            _apply_step(gens, rels, step)
+            _apply_step(state, step)
     return result(False)
 
 
-def _next_steps(rels: list[Word]) -> list[tuple]:
+def _next_steps(state: _Tietze) -> list[tuple]:
     """The steps of the next greedy move, or none when no move applies."""
+    rels, facts = state.rels, state.facts
     # drop a duplicate relator, compared by least rotation; inverting
     # first when it only duplicates the inverse of an earlier one.  A
     # rotation of r or of r^-1 has the letters of r up to sign, so only
-    # relators in one bucket of that multiset can match: least rotations
+    # relators in one bucket of sorted letters can match: least rotations
     # are taken once a second relator reaches a bucket, once per relator
     lone: dict[Word, Word] = {}  # bucket -> its only relator so far
     keyed: dict[Word, tuple[set[Word], set[Word]]] = {}  # bucket -> (seen, seen_inverse)
-    for i, r in enumerate(rels):
-        bucket = tuple(sorted(map(abs, r)))
+    for i, (bucket, _) in enumerate(facts):
+        r = rels[i]
         if bucket not in keyed:
             if bucket not in lone:
                 lone[bucket] = r
@@ -383,13 +421,12 @@ def _next_steps(rels: list[Word]) -> list[tuple]:
     # eliminate a generator occurring once in some relator; prefer the
     # shortest relator, then lowest indices
     best = None
-    for i, r in enumerate(rels):
-        once = [gen for gen, k in Counter(map(abs, r)).items() if k == 1]
-        if once and (best is None or len(r) < best[0]):
-            best = (len(r), i, min(once))
+    for i, (bucket, once) in enumerate(facts):
+        if once and (best is None or len(bucket) < best[0]):
+            best = (len(bucket), i, once)
     if best is not None:
         _, i, gen = best
-        return [("eliminate", gen, i)]
+        return [("eliminate", bisect.bisect_left(state.live, gen) + 1, i)]
 
     # shorten some relator by multiplying with a rotated (possibly
     # inverted) other relator

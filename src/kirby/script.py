@@ -120,7 +120,7 @@ def _shape(step: Step) -> list:
     ``slide a over c``, is not one of them."""
     if step.op not in _STEPS:
         raise ScriptError(f"unknown step op {step.op!r}")
-    fewest, most, keys = _STEPS[step.op]
+    fewest, most, keys, required = _STEPS[step.op]
     pos = list(step.args.get("_args", ()))
     if len(pos) == 3 and pos[1] == "over":
         del pos[1]
@@ -138,6 +138,9 @@ def _shape(step: Step) -> list:
             raise ScriptError(
                 f"unknown {what} {key!r}; {step.op} reads {', '.join(keys) or 'no key'}"
             )
+    for key in required:
+        if key not in step.args:
+            raise ScriptError(f"{step.op} needs key {key!r}")
     return pos
 
 

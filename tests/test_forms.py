@@ -6,7 +6,7 @@ import pytest
 
 from kirby import forms, intmat
 
-from conftest import random_unimodular
+from conftest import bench_workloads, random_unimodular
 
 
 def congruent(q: forms.BilinearForm, e, e_inv):
@@ -157,6 +157,54 @@ def double_loop_witness(q1, q2, allowed, max_count):
     return None if best is None else best[1:]
 
 
+def stably_equivalent_oracle(q1, q2, allowed=("<1>", "<-1>", "H"), max_count=6):
+    """stably_equivalent as it read before its stabilizations were
+    tabulated: each side re-sorts the product of counts and stabilizes
+    every entry."""
+    if q1.matrix == q2.matrix:
+        return forms.StableEquivalence("equivalent")
+    if abs(intmat.det(q1.rows)) != 1 or abs(intmat.det(q2.rows)) != 1:
+        return forms.StableEquivalence("unsupported")
+
+    names = list(allowed)
+    pos1, neg1, _ = intmat.inertia(q1.rows)
+    pos2, neg2, _ = intmat.inertia(q2.rows)
+    odd1 = q1.parity == "odd"
+    odd2 = q2.parity == "odd"
+
+    def stabilized(pos, neg, odd, counts):
+        for name, k in zip(names, counts):
+            if name == "<1>":
+                pos, odd = pos + k, odd or k > 0
+            elif name == "<-1>":
+                neg, odd = neg + k, odd or k > 0
+            else:
+                pos, neg = pos + k, neg + k
+        return pos, neg, odd
+
+    def fewest(pos, neg, odd):
+        found = {}
+        for counts in sorted(product(range(max_count + 1), repeat=len(names)), key=sum):
+            p, n, o = stabilized(pos, neg, odd, counts)
+            if o and p > 0 and n > 0:
+                found.setdefault((p, n), counts)
+        return found
+
+    w1, w2 = fewest(pos1, neg1, odd1), fewest(pos2, neg2, odd2)
+    shared = w1.keys() & w2.keys()
+    if shared:
+        _, c1, c2 = min((sum(w1[k]) + sum(w2[k]), w1[k], w2[k]) for k in shared)
+        return forms.StableEquivalence("equivalent", tuple(zip(names, c1)), tuple(zip(names, c2)))
+    if not any(s in allowed for s in ("<1>", "<-1>")):
+        if odd1 != odd2:
+            return forms.StableEquivalence("inequivalent")
+        if pos1 - neg1 != pos2 - neg2:
+            return forms.StableEquivalence("inequivalent")
+        if (pos1 + neg1) % 2 != (pos2 + neg2) % 2:
+            return forms.StableEquivalence("inequivalent")
+    return forms.StableEquivalence("unsupported")
+
+
 def random_unimodular_form(rng):
     blocks = [forms.diagonal_form(1), forms.diagonal_form(-1), forms.hyperbolic_form()]
     q = rng.choice(blocks + [forms.e8_form(rng.choice([1, -1]))])
@@ -176,6 +224,7 @@ def test_stable_equivalence_witness_matches_double_loop(rng):
         allowed = tuple(rng.sample(names, rng.randint(1, 3)))
         max_count = rng.randint(0, 6)
         res = forms.stably_equivalent(q1, q2, allowed, max_count)
+        assert res == stably_equivalent_oracle(q1, q2, allowed, max_count)
         witness = double_loop_witness(q1, q2, allowed, max_count)
         if witness is None:
             assert res.status != "equivalent"
@@ -185,3 +234,18 @@ def test_stable_equivalence_witness_matches_double_loop(rng):
             found += 1
         pairs += 1
     assert found >= 40  # the witness comparison is exercised, not vacuous
+
+
+def test_stable_equivalence_matches_oracle_on_search_pairs():
+    # the form pairs of the benchmark's search workload, seeds 1-20, under
+    # the default and under narrower summand sets and count caps
+    workloads = bench_workloads()
+    statuses = set()
+    for seed in range(1, 21):
+        for left, right in workloads.build("search", seed).spec["pairs"]:
+            q1, q2 = (workloads.build_form(forms, side) for side in (left, right))
+            for allowed, max_count in ((("<1>", "<-1>", "H"), 6), (("H",), 6), (("<1>", "H"), 3)):
+                res = forms.stably_equivalent(q1, q2, allowed, max_count)
+                assert res == stably_equivalent_oracle(q1, q2, allowed, max_count), (left, right)
+                statuses.add(res.status)
+    assert statuses == {"equivalent", "inequivalent", "unsupported"}

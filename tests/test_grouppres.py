@@ -135,63 +135,78 @@ def single_occurrence_oracle(r, g: int):
 
 
 def tietze_simplify_oracle(g: GroupPresentation, budget: int = 1000):
-    """The pairwise duplicate scan and the per-generator occurrence scan."""
-    apply_tietze, invert_word = grouppres.apply_tietze, grouppres.invert_word
+    """The pairwise duplicate scan and the per-generator occurrence scan,
+    applying each step with plain list edits of its own."""
+    invert_word, cyclic_reduce = grouppres.invert_word, grouppres.cyclic_reduce
     Simplification = grouppres.Simplification
     log = []
-    cur = GroupPresentation.make(g.generators, g.relators)
+    gens = list(g.generators)
+    rels = list(GroupPresentation.make(g.generators, g.relators).relators)
     steps = 0
 
-    def spend() -> bool:
-        nonlocal steps
+    def apply(step) -> bool:
+        """Spend one step of the budget on ``step``; False once spent."""
+        nonlocal steps, rels
         steps += 1
-        return steps <= budget
+        if steps > budget:
+            return False
+        log.append(step)
+        op, i = step[0], step[-1]
+        if op == "invert":
+            rels[i] = invert_word(rels[i])
+        elif op == "rotate":
+            rels[i] = grouppres.rotate_word(rels[i], step[2])
+        elif op == "multiply":
+            rels[step[1]] = cyclic_reduce(grouppres.free_reduce(rels[step[1]] + rels[i]))
+            rels = [w for w in rels if w]
+        elif op == "remove":
+            assert any(cyclic_equal_oracle(rels[i], w) for k, w in enumerate(rels) if k != i)
+            del rels[i]
+        else:
+            rels = eliminate_oracle(rels, step[1], i)
+            del gens[step[1] - 1]
+        return True
+
+    def result(exhausted: bool):
+        return Simplification(GroupPresentation(tuple(gens), tuple(rels)), tuple(log), exhausted)
 
     changed = True
     while changed:
         changed = False
-        rels = list(cur.relators)
         for i in range(len(rels)):
             r = rels[i]
             if any(cyclic_equal_oracle(r, rels[j]) or cyclic_equal_oracle(r, invert_word(rels[j]))
                    for j in range(i)):
                 if not any(cyclic_equal_oracle(r, rels[j]) for j in range(i)):
-                    if not spend():
-                        return Simplification(cur, tuple(log), True)
-                    log.append(("invert", i))
-                    cur = apply_tietze(cur, [("invert", i)])
-                if not spend():
-                    return Simplification(cur, tuple(log), True)
-                log.append(("remove", i))
-                cur = apply_tietze(cur, [("remove", i)])
+                    if not apply(("invert", i)):
+                        return result(True)
+                if not apply(("remove", i)):
+                    return result(True)
                 changed = True
                 break
         if changed:
             continue
 
         best = None
-        for i, r in enumerate(cur.relators):
-            for gen in range(1, cur.rank + 1):
+        for i, r in enumerate(rels):
+            for gen in range(1, len(gens) + 1):
                 if single_occurrence_oracle(r, gen) is not None:
                     key = (len(r), i, gen)
                     if best is None or key < best:
                         best = key
         if best is not None:
             _, i, gen = best
-            if not spend():
-                return Simplification(cur, tuple(log), True)
-            log.append(("eliminate", gen, i))
-            cur = apply_tietze(cur, [("eliminate", gen, i)])
+            if not apply(("eliminate", gen, i)):
+                return result(True)
             changed = True
             continue
 
         best = None
-        rels = cur.relators
         for i, j in itertools.permutations(range(len(rels)), 2):
             for inv in (0, 1):
                 rj = invert_word(rels[j]) if inv else rels[j]
                 for k in range(len(rj)):
-                    cand = grouppres.cyclic_reduce(
+                    cand = cyclic_reduce(
                         grouppres.free_reduce(rels[i] + grouppres.rotate_word(rj, k))
                     )
                     gain = len(rels[i]) - len(cand)
@@ -203,12 +218,10 @@ def tietze_simplify_oracle(g: GroupPresentation, budget: int = 1000):
             _, i, j, inv, k = best
             steps_needed = [("invert", j)] * inv + ([("rotate", j, k)] if k else []) + [("multiply", i, j)]
             for step in steps_needed:
-                if not spend():
-                    return Simplification(cur, tuple(log), True)
-                log.append(step)
-                cur = apply_tietze(cur, [step])
+                if not apply(step):
+                    return result(True)
             changed = True
-    return Simplification(cur, tuple(log), False)
+    return result(False)
 
 
 def eliminate_oracle(rels, gen: int, i: int):
@@ -449,6 +462,14 @@ def test_tietze_simplify_matches_pairwise_scans_on_torus_knots():
             simp = grouppres.tietze_simplify(g)
             assert simp == tietze_simplify_oracle(g), q
             assert grouppres.apply_tietze(g, simp.log) == simp.presentation
+            if q < 41:
+                continue
+            # budgets that run out part way through the eliminations
+            for budget in (1, q // 3, q // 2, q - 2):
+                cut = grouppres.tietze_simplify(g, budget)
+                assert cut.budget_exhausted and len(cut.log) == budget, (q, budget)
+                assert cut == tietze_simplify_oracle(g, budget), (q, budget)
+                assert grouppres.apply_tietze(g, cut.log) == cut.presentation
 
 
 @st.composite
@@ -487,17 +508,21 @@ def test_eliminate_matches_letter_by_letter_substitution(g):
         for gen in range(1, g.rank + 1):
             if single_occurrence_oracle(r, gen) is None:
                 continue
-            gens, rels = list(g.generators), list(g.relators)
-            grouppres._apply_step(gens, rels, ("eliminate", gen, i))
-            assert rels == eliminate_oracle(g.relators, gen, i), (g, gen, i)
-            assert gens == [name for k, name in enumerate(g.generators) if k != gen - 1]
+            state = grouppres._Tietze(g)
+            grouppres._apply_step(state, ("eliminate", gen, i))
+            out = state.presentation()
+            assert list(out.relators) == eliminate_oracle(g.relators, gen, i), (g, gen, i)
+            assert list(out.generators) == [name for k, name in enumerate(g.generators) if k != gen - 1]
 
 
 def test_duplicate_scan_compares_within_letter_buckets():
+    def next_steps(rels):
+        return grouppres._next_steps(grouppres._Tietze(GroupPresentation(("a", "b", "c"), rels)))
+
     # a c b has the letters of a b c but is no rotation of it or its inverse
-    assert grouppres._next_steps([(1, 2, 3), (1, 3, 2)]) == [("eliminate", 1, 0)]
-    assert grouppres._next_steps([(1, 2, 3), (2, 1), (3, 1, 2)]) == [("remove", 2)]
-    assert grouppres._next_steps([(1, 2, 3), (2, 1), (-2, -1, -3)]) == [("invert", 2), ("remove", 2)]
+    assert next_steps([(1, 2, 3), (1, 3, 2)]) == [("eliminate", 1, 0)]
+    assert next_steps([(1, 2, 3), (2, 1), (3, 1, 2)]) == [("remove", 2)]
+    assert next_steps([(1, 2, 3), (2, 1), (-2, -1, -3)]) == [("invert", 2), ("remove", 2)]
 
 
 @SEEDED

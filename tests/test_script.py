@@ -360,6 +360,10 @@ UNKNOT = "diagram U { component a kind=framed framing=0 edges=(a1,a2); }\n"
     ("slide a over b sgn=-;", "unknown slide key 'sgn'; slide reads sign"),
     ("blowdown;", "wrong number of blowdown arguments: takes 1, got []"),
     ("cancel a b c;", "wrong number of cancel arguments: takes 2, got ['a', 'b', 'c']"),
+    ("track sphere;", "track needs key 'on'"),
+    ("track sphere cap=d0;", "track needs key 'on'"),
+    ("band_slide a;", "band_slide needs key 'ribbon'"),
+    ("isotopy;", "isotopy needs key 'to'"),
     ("track sphere on=a; blowup + through=(a1);", "tracked surface has sheets over a; transfer them first"),
     ("track sphere on=a; swap_dot a cert=disk;", "tracked surface has sheets over a; transfer them first"),
 ])
