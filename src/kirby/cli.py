@@ -46,6 +46,8 @@ def _load(paths) -> dsl.Document:
             parts.append(dsl.parse_file(path))
         except (FileNotFoundError, IsADirectoryError):
             raise InputError(f"no such file: {path}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {path}: {exc}")
         except dsl.ParseError as exc:
             raise InputError(f"{path}: {exc}")
     return dsl._merge(parts)

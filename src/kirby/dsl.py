@@ -250,6 +250,9 @@ def _need_sign(value, what: str, at: Token) -> int:
     return sign
 
 
+_MAX_NESTING = 16  # the formats nest 2 deep: strands=((k1, k2, +)), form=[[1]]
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -298,8 +301,9 @@ class _Parser:
 
     # -- values -------------------------------------------------------------
 
-    def value(self, params: dict):
-        """int | signed name | name | string | tuple | matrix."""
+    def value(self, params: dict, depth: int = 0):
+        """int | signed name | name | string | tuple | matrix, read inside
+        ``depth`` brackets; a bracket past ``_MAX_NESTING`` is refused."""
         t = self.peek()
         if t is None:
             self.error("expected a value")
@@ -325,10 +329,12 @@ class _Parser:
                 raise ParseError(f"unknown parameter ${name}", t.line, t.col)
             return params[name]
         if t.value in "([":
+            if depth == _MAX_NESTING:
+                raise ParseError(f"nested deeper than {_MAX_NESTING} brackets", t.line, t.col)
             close = ")" if t.value == "(" else "]"
             items = []
             while not self.at("punct", close):
-                items.append(self.value(params))
+                items.append(self.value(params, depth + 1))
                 if self.at("punct", ","):
                     self.pos += 1
             self.take("punct", close)

@@ -87,7 +87,7 @@ def parse_word(text: str, generators) -> Word:
             start = pos
             if pos < n and text[pos] in "+-":
                 pos += 1
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if pos == start or not text[start:pos].lstrip("+-"):
                 raise error("malformed exponent")

@@ -356,7 +356,7 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
     if not cu.is_round:
         # a free loop (single edge meeting no vertex and carrying no
         # passes) is an unknot diagram too
-        if not (cu.is_loop and cu.edges[0] not in pdcode._slot_counts(d)):
+        if not (cu.is_loop and cu.edges[0] not in pdcode._collect_pairings(d).uses):
             raise HandlebodyError(f"component {u} is not round-encoded")
         if any(p.edge == cu.edges[0] for c in d.components for p in c.through):
             raise HandlebodyError(

@@ -39,12 +39,18 @@ all write through it.  ``_pieces`` is the one search
 for the connected pieces of a planar map, a handlebody or a surface, and
 ``_recut`` the one edit of a component cycle: edge splits, fusing, box
 expansion and the Reidemeister moves all rewrite cycles through it.
+``_collect_pairings`` is the one reading of crossing and box slots: the
+rotation system and the slot and pair counts that ``resolve_incidence``,
+``normalize``, ``validate`` and blowdowns use.  ``_faces`` is the one
+reading of faces for a move site: R2 insertion lays its crossings out
+from the shared face, R2 removal looks for its bigon and R3 its triangle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 FRAMED = "framed"
 DOTTED = "dotted"
@@ -229,7 +235,9 @@ def resolve_incidence(d: Diagram) -> Incidence:
     prefers an assignment under which every declared crossing sign matches
     the planar handedness.
     """
-    rotation, pairings = _collect_pairings(d)
+    rotation, pairings, _uses, doubled = _collect_pairings(d)
+    if doubled:
+        raise DiagramError(f"crossing {doubled[0]}: strand uses one edge twice")
     base = _resolve_once(d, rotation, pairings, {})
     if not _sign_mismatches(d, base):
         return base
@@ -264,42 +272,59 @@ def _box_layout(b: TwistBox) -> list[tuple[int, str]]:
     """The (row, side) at each slot of box b, in rotation order: the left
     side top to bottom, then the right side bottom to top.  An odd number
     of half twists reverses the rows on the right, so the strand entering
-    in row r exits in row k-1-r."""
+    in row r exits in row k-1-r.  A ``halftwists`` that is not an int counts
+    as even, so that ``normalize`` reads any box (``validate`` refuses it)."""
     rows = range(len(b.strands))
-    right = rows if b.halftwists % 2 else reversed(rows)
+    right = rows if isinstance(b.halftwists, int) and b.halftwists % 2 else reversed(rows)
     return [(r, "left") for r in rows] + [(r, "right") for r in right]
 
 
-def _collect_pairings(d: Diagram):
-    """Rotation system plus, per unordered adjacent edge pair, the vertex
-    incidences that can realize it."""
-    rotation: dict[str, list[str]] = {}
-    # unordered adjacent pair -> list of (vertex, strand, slot_a, slot_b, in edge)
-    pairings: dict[frozenset, list[tuple[str, int, int, int, str | None]]] = {}
+class _Slots(NamedTuple):
+    """What the crossing and box records say about vertex slots."""
 
+    rotation: dict[str, list[str]]  # vertex -> its edges in cyclic slot order
+    # unordered adjacent pair -> list of (vertex, strand, slot_a, slot_b, in edge)
+    pairings: dict[frozenset, list[tuple[str, int, int, int, str | None]]]
+    uses: dict[str, int]  # edge -> the number of vertex slots it fills
+    doubled: list[str]  # the crossings with a strand that uses one edge twice
+
+
+def _collect_pairings(d: Diagram) -> _Slots:
+    """The one reading of crossing and box slots: the rotation system, per
+    unordered adjacent edge pair the vertex incidences that can realize it,
+    and per edge its slot count.  A crossing strand that uses one edge
+    twice is recorded, not refused: ``resolve_incidence`` refuses it, after
+    ``validate`` has counted the slots."""
+    slots = _Slots({}, {}, {}, [])
+    rotation, pairings, uses = slots.rotation, slots.pairings, slots.uses
     for x in d.crossings:
         if not x.is_geometric:
             continue
         rotation[x.id] = list(x.edges)
+        for e in x.edges:
+            uses[e] = uses.get(e, 0) + 1
         for strand, (a, b) in enumerate(x.strand_pairs()):
             if a == b:
-                raise DiagramError(f"crossing {x.id}: strand uses one edge twice")
-            key = frozenset((a, b))
-            slot_a = strand  # slots strand, strand+2
-            pairings.setdefault(key, []).append((x.id, strand, slot_a, slot_a + 2, None))
+                slots.doubled.append(x.id)
+            # the strand fills slots strand and strand + 2
+            pairing = (x.id, strand, strand, strand + 2, None)
+            pairings.setdefault(frozenset((a, b)), []).append(pairing)
     for b in d.boxes:
         layout = _box_layout(b)
         rotation[b.id] = [getattr(b.strands[row], side) for row, side in layout]
         slot = {cell: i for i, cell in enumerate(layout)}
         for row, s in enumerate(b.strands):
-            key = frozenset((s.left, s.right))
+            for e in (s.left, s.right):
+                uses[e] = uses.get(e, 0) + 1
             slot_l, slot_r = slot[(row, "left")], slot[(row, "right")]
             if s.orient == -1 and s.left == s.right:
                 # the edge leaves the box on the left and returns on the right
                 slot_l, slot_r = slot_r, slot_l
             expect_in = s.left if s.orient == 1 else s.right
-            pairings.setdefault(key, []).append((b.id, row, slot_l, slot_r, expect_in))
-    return rotation, pairings
+            pairings.setdefault(frozenset((s.left, s.right)), []).append(
+                (b.id, row, slot_l, slot_r, expect_in)
+            )
+    return slots
 
 
 def _resolve_once(d: Diagram, rotation, pairings, pool_orders: dict) -> Incidence:
@@ -429,33 +454,6 @@ def _pieces(nodes, pairs) -> list[set]:
     return pieces
 
 
-def _slot_counts(d: Diagram) -> dict[str, int]:
-    uses: dict[str, int] = {}
-    for x in d.crossings:
-        if x.is_geometric:
-            for e in x.edges:
-                uses[e] = uses.get(e, 0) + 1
-    for b in d.boxes:
-        for s in b.strands:
-            for e in (s.left, s.right):
-                uses[e] = uses.get(e, 0) + 1
-    return uses
-
-
-def _pairing_counts(d: Diagram) -> dict[frozenset, int]:
-    counts: dict[frozenset, int] = {}
-    for x in d.crossings:
-        if x.is_geometric:
-            for a, b in x.strand_pairs():
-                key = frozenset((a, b))
-                counts[key] = counts.get(key, 0) + 1
-    for b in d.boxes:
-        for s in b.strands:
-            key = frozenset((s.left, s.right))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def normalize(d: Diagram) -> Diagram:
     """Fuse consecutive edges of a component that meet at no vertex.
 
@@ -465,7 +463,7 @@ def normalize(d: Diagram) -> Diagram:
     vertex slot, which the planar checks require.
     """
     while True:
-        counts = _pairing_counts(d)
+        pairings = _collect_pairings(d).pairings
         weld = None
         for c in d.components:
             if c.is_round or len(c.edges) < 2:
@@ -477,7 +475,7 @@ def normalize(d: Diagram) -> Diagram:
                 if len(key) == 2:
                     needed[key] = needed.get(key, 0) + 1
             for key in sorted(needed, key=sorted):
-                if needed[key] > counts.get(key, 0):
+                if needed[key] > len(pairings.get(key, ())):
                     weld = sorted(key)
                     break
             if weld:
@@ -658,9 +656,10 @@ def validate(d: Diagram) -> list[str]:
     except DiagramError as err:
         return [str(err)]
 
-    for e, n in _slot_counts(d).items():
-        if n != 2:
-            out.append(f"edge {e}: appears {n} times at vertices (expected 2)")
+    out = [
+        f"edge {e}: appears {n} times at vertices (expected 2)"
+        for e, n in _collect_pairings(d).uses.items() if n != 2
+    ]
     if out:
         return out
 
@@ -1194,67 +1193,70 @@ def _with_derived_signs(d: Diagram, ids: set[str]) -> Diagram:
     return replace(d, crossings=crossings)
 
 
-def _share_face(d: Diagram, e: str, f: str) -> bool:
+def _faces(d: Diagram) -> tuple[Diagram, Incidence, list[list[tuple[str, int]]]]:
+    """d normalized, its incidence and its faces: the one reading of faces
+    for the sites of the Reidemeister moves."""
+    d = normalize(d)
     inc = resolve_incidence(d)
-    if e not in inc.ends or f not in inc.ends:
-        return True  # a free loop floats in whichever face we need
-    for face in trace_faces(inc):
-        es = {dart[0] for dart in face}
-        if e in es and f in es:
-            return True
-    return False
+    return d, inc, trace_faces(inc)
+
+
+# the R2 layout for a dart pair (over_edge, d_e), (under_edge, d_f) on a
+# shared face, keyed by the directions (d_e, d_f)
+_R2_LAYOUT = {(1, -1): 0, (-1, 1): 1, (-1, -1): 2, (1, 1): 3}
 
 
 def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
     """Push over_edge across under_edge, creating two crossings of opposite
-    sign; the two edges must co-bound a face."""
+    sign; the two edges must co-bound a face of the valid diagram d.
+
+    The layout comes from that face: each pair of darts (over_edge, d_e),
+    (under_edge, d_f) on a face they share, d the direction an edge runs
+    around it, names layout ``_R2_LAYOUT[d_e, d_f]``, and the lowest wins.
+    A free loop floats in whichever face we need and takes layout 0.
+    """
     owner = d.edge_owner()
     for e in (over_edge, under_edge):
         if e not in owner:
             raise MoveError(f"no edge {e!r}")
     if over_edge == under_edge:
         raise MoveError("R2 needs two distinct edges")
-    dn = normalize(d)
+    problems = validate(d)
+    if problems:
+        raise MoveError(f"R2 on an invalid diagram: {problems[0]}")
+    dn, inc, faces = _faces(d)
     if over_edge not in dn.edge_owner() or under_edge not in dn.edge_owner():
         raise MoveError("site edges vanish under normalization")
-    if not _share_face(dn, over_edge, under_edge):
-        raise MoveError(f"edges {over_edge},{under_edge} do not share a face")
+    layout = 0
+    if over_edge in inc.ends and under_edge in inc.ends:
+        layout = min(
+            (
+                _R2_LAYOUT[d_e, d_f]
+                for face in faces
+                for e, d_e in face if e == over_edge
+                for f, d_f in face if f == under_edge
+            ),
+            default=None,
+        )
+        if layout is None:
+            raise MoveError(f"edges {over_edge},{under_edge} do not share a face")
     em, e2, fm, f2 = dn.fresh_edges(4)
     base = _split_edges(dn, {over_edge: [over_edge, em, e2],
                              under_edge: [under_edge, fm, f2]})
     x1id, x2id = base.fresh_id("r2a_"), base.fresh_id("r2b_")
-    # four planar layouts: the first crossing on the under pieces
-    # (under_edge, fm) or on (fm, f2), each with both relative directions
-    # of the strands along the shared face; take the first that validates
-    layouts = [
-        (
-            Crossing(x1id, 1, edges=(over_edge, under_edge, em, fm), over=0),
-            Crossing(x2id, 1, edges=(em, f2, e2, fm), over=0),
-        ),
-        (
-            Crossing(x1id, 1, edges=(over_edge, fm, em, under_edge), over=0),
-            Crossing(x2id, 1, edges=(em, fm, e2, f2), over=0),
-        ),
-        (
-            Crossing(x1id, 1, edges=(over_edge, fm, em, f2), over=0),
-            Crossing(x2id, 1, edges=(em, fm, e2, under_edge), over=0),
-        ),
-        (
-            Crossing(x1id, 1, edges=(over_edge, f2, em, fm), over=0),
-            Crossing(x2id, 1, edges=(em, under_edge, e2, fm), over=0),
-        ),
-    ]
-    last_err = None
-    for pair in layouts:
-        cand = replace(base, crossings=base.crossings + pair)
-        try:
-            cand = _with_derived_signs(normalize(cand), {x1id, x2id})
-        except DiagramError as err:
-            last_err = err
-            continue
-        if not validate(cand):
-            return cand
-    raise MoveError(f"no planar R2 layout at ({over_edge},{under_edge}): {last_err}")
+    # the under pieces at slots 1 and 3 of the first and the second crossing
+    (a1, a3), (b1, b3) = (
+        ((under_edge, fm), (f2, fm)),
+        ((fm, under_edge), (fm, f2)),
+        ((fm, f2), (fm, under_edge)),
+        ((f2, fm), (under_edge, fm)),
+    )[layout]
+    pair = (
+        Crossing(x1id, 1, edges=(over_edge, a1, em, a3), over=0),
+        Crossing(x2id, 1, edges=(em, b1, e2, b3), over=0),
+    )
+    poked = normalize(replace(base, crossings=base.crossings + pair))
+    return _with_derived_signs(poked, {x1id, x2id})
 
 
 def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
@@ -1265,12 +1267,7 @@ def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
         raise MoveError(f"crossings {xid1},{xid2} share {len(shared)} edges")
     if x1.sign + x2.sign != 0:
         raise MoveError("crossing signs do not cancel")
-    inc = resolve_incidence(normalize(d))
-    bigons = {
-        frozenset(dart[0] for dart in face)
-        for face in trace_faces(inc)
-        if len(face) == 2
-    }
+    bigons = {frozenset(dart[0] for dart in face) for face in _faces(d)[2] if len(face) == 2}
 
     def is_site(em, fm):
         """The shared pair must lie on opposite strands of both crossings,
@@ -1285,14 +1282,8 @@ def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
             return False
         return frozenset((em, fm)) in bigons
 
-    site = next(
-        (
-            pair
-            for pair in itertools.combinations(sorted(shared), 2)
-            if is_site(*pair)
-        ),
-        None,
-    )
+    pairs = itertools.combinations(sorted(shared), 2)
+    site = next((pair for pair in pairs if is_site(*pair)), None)
     if site is None:
         raise MoveError(f"crossings {xid1},{xid2} do not bound a cancelling bigon")
     _unthreaded(d, site, "bigon edges pass")
@@ -1304,17 +1295,15 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
     xid3 of the other two strands.  The three crossings must bound a
     triangular face, and the moving strand must be over (or under) at both
     of its crossings."""
-    d = normalize(d)
+    d, inc, faces = _faces(d)
     x, y, z = _geometric(d, xid1, xid2, xid3)
-
-    inc = resolve_incidence(d)
 
     def joins(e: str) -> frozenset:
         tail, head = inc.ends[e]
         return frozenset((tail[0], head[0]))
 
     site = None
-    for face in trace_faces(inc):
+    for face in faces:
         if len(face) != 3:
             continue
         edges = [dart[0] for dart in face]

@@ -137,6 +137,20 @@ def test_input_errors_exit_2(good_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_files_exit_2(tmp_path, monkeypatch, capsys):
+    undecodable = tmp_path / "latin1.kd"
+    undecodable.write_bytes("diagram d { component \xe9 kind=framed framing=0; }".encode("latin-1"))
+    assert cli.main(["validate", str(undecodable)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {undecodable}: 'utf-8' codec")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.dsl, "parse_file", refuse)
+    assert cli.main(["validate", "locked.kd"]) == 2
+    assert capsys.readouterr().err == "error: cannot read locked.kd: [Errno 13] Permission denied\n"
+
+
 def test_malformed_budget_exits_2(good_file, monkeypatch, capsys):
     monkeypatch.setenv("KIRBY_BUDGET", "abc")
     for argv in (["run", good_file, "--script", "shuffle"], ["pi1", good_file]):

@@ -204,6 +204,18 @@ def test_list_values_need_parentheses_and_names():
         assert (err.value.line, err.value.col) == (1, 13)  # the declaration keyword
 
 
+def test_deep_nesting_is_refused_at_its_bracket():
+    # 16 brackets parse (the edge is then refused as no name); the 17th
+    # opening bracket, at column 59, is refused, however deep the input goes
+    head = "diagram d {\n  component a kind=framed framing=0 edges="
+    with pytest.raises(dsl.ParseError, match="bad edge"):
+        dsl.parse(head + "(" * 16 + "a1" + ")" * 16 + "; }")
+    for depth in (17, 3000):
+        with pytest.raises(dsl.ParseError, match="nested deeper than 16 brackets") as err:
+            dsl.parse(head + "[" * depth + "a1" + "]" * depth + "; }")
+        assert (err.value.line, err.value.col) == (2, 59)
+
+
 def test_sign_values_that_are_not_signs_are_refused():
     assert [dsl._sign(v) for v in ("+", "-", 1, -1, True, [1], (1,), "x", 2)] == [
         1, -1, 1, -1, None, None, None, None, None,

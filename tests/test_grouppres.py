@@ -360,6 +360,14 @@ def test_parse_word_parenthesized_powers():
     assert w == grouppres.free_reduce((1, 2, -1, -2, -1, -2))
 
 
+def test_exponents_are_decimal_digits():
+    # a superscript is a digit to str.isdigit but no decimal int() reads
+    for text, column in (("a^²", 3), ("a^-²", 4), ("(a b)^²", 7)):
+        with pytest.raises(grouppres.GroupError, match=f"^column {column}: malformed exponent$"):
+            grouppres.parse_word(text, ["a", "b"])
+    assert grouppres.parse_word("a^-١٢", ["a"]) == (-1,) * 12  # Arabic-Indic digits
+
+
 def test_abelianization_against_sympy(rng):
     for trial in range(20):
         n_gens = rng.randint(1, 3)

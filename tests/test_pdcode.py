@@ -333,6 +333,18 @@ def test_validate_states_each_fault():
             replace(c, boxes=(replace(c.boxes[0], strands=(BoxStrand("e1", 2, 1),)),)),
             "box B: edge name 2 is not a string",
         ),
+        # a strand that uses one edge twice: the slot counts are read first
+        (
+            Diagram("d", (Component("a", FRAMED, 0, edges=("a1", "a2")),),
+                    (Crossing("x", 1, edges=("a1", "a2", "a1", "a2"), over=0),)),
+            "edge a1: appears 4 times at vertices (expected 2)",
+        ),
+        (
+            Diagram("d", (Component("a", FRAMED, 0, edges=("a1",)),
+                          Component("b", FRAMED, 0, edges=("b1",))),
+                    (Crossing("x", 1, edges=("a1", "b1", "a1", "b1"), over=0),)),
+            "crossing x: strand uses one edge twice",
+        ),
     ]
     for d, message in cases:
         assert message in pdcode.validate(d), message
@@ -350,6 +362,10 @@ def test_mistyped_records_are_refused_by_expansion_and_wirtinger():
             pdcode.expand_twistboxes(d)
         with pytest.raises(grouppres.GroupError, match=re.escape(fault)):
             grouppres.wirtinger(d)
+    # normalize reads a box of any halftwists: welds do not depend on it
+    n = pdcode.normalize(c)
+    mistyped = replace(c, boxes=(replace(c.boxes[0], halftwists="x"),))
+    assert pdcode.normalize(mistyped) == replace(n, boxes=(replace(n.boxes[0], halftwists="x"),))
 
 
 def test_mirror_is_involution():
@@ -508,7 +524,7 @@ def test_accepted_r2_inserts_validate():
         lk = pdcode.linking_matrix(d)
         old, dn = {x.id for x in d.crossings}, pdcode.normalize(d)
         for e, f in itertools.permutations(d.edge_owner(), 2):
-            if not pdcode._share_face(dn, e, f):
+            if not share_face(dn, e, f):
                 with pytest.raises(pdcode.MoveError):
                     pdcode.r2_insert(d, e, f)
                 continue
@@ -531,6 +547,114 @@ def test_accepted_r2_inserts_validate():
     assert (sites, exact) == (78, 48)
 
 
+def share_face(dn: Diagram, e: str, f: str) -> bool:
+    """Whether edges e and f of the normalized diagram dn bound a common
+    face; a free loop shares one with every edge."""
+    inc = pdcode.resolve_incidence(dn)
+    if e not in inc.ends or f not in inc.ends:
+        return True
+    return any({e, f} <= {dart[0] for dart in face} for face in pdcode.trace_faces(inc))
+
+
+def r2_insert_by_trial(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
+    """R2 insertion that tries four planar layouts in turn and keeps the
+    first that validates: the reference whose choice ``pdcode.r2_insert``
+    must reproduce from the shared face."""
+    owner = d.edge_owner()
+    for e in (over_edge, under_edge):
+        if e not in owner:
+            raise pdcode.MoveError(f"no edge {e!r}")
+    if over_edge == under_edge:
+        raise pdcode.MoveError("R2 needs two distinct edges")
+    dn = pdcode.normalize(d)
+    if over_edge not in dn.edge_owner() or under_edge not in dn.edge_owner():
+        raise pdcode.MoveError("site edges vanish under normalization")
+    if not share_face(dn, over_edge, under_edge):
+        raise pdcode.MoveError(f"edges {over_edge},{under_edge} do not share a face")
+    em, e2, fm, f2 = dn.fresh_edges(4)
+    base = pdcode._split_edges(dn, {over_edge: [over_edge, em, e2],
+                                    under_edge: [under_edge, fm, f2]})
+    x1id, x2id = base.fresh_id("r2a_"), base.fresh_id("r2b_")
+    # the first crossing on the under pieces (under_edge, fm) or on
+    # (fm, f2), each with both relative directions of the strands
+    layouts = [
+        (
+            Crossing(x1id, 1, edges=(over_edge, under_edge, em, fm), over=0),
+            Crossing(x2id, 1, edges=(em, f2, e2, fm), over=0),
+        ),
+        (
+            Crossing(x1id, 1, edges=(over_edge, fm, em, under_edge), over=0),
+            Crossing(x2id, 1, edges=(em, fm, e2, f2), over=0),
+        ),
+        (
+            Crossing(x1id, 1, edges=(over_edge, fm, em, f2), over=0),
+            Crossing(x2id, 1, edges=(em, fm, e2, under_edge), over=0),
+        ),
+        (
+            Crossing(x1id, 1, edges=(over_edge, f2, em, fm), over=0),
+            Crossing(x2id, 1, edges=(em, under_edge, e2, fm), over=0),
+        ),
+    ]
+    last_err = None
+    for pair in layouts:
+        cand = replace(base, crossings=base.crossings + pair)
+        try:
+            cand = pdcode._with_derived_signs(pdcode.normalize(cand), {x1id, x2id})
+        except pdcode.DiagramError as err:
+            last_err = err
+            continue
+        if not pdcode.validate(cand):
+            return cand
+    raise pdcode.MoveError(f"no planar R2 layout at ({over_edge},{under_edge}): {last_err}")
+
+
+def r2_subjects() -> list[Diagram]:
+    """The sweep diagrams, diagrams with free loops, the corpus diagrams
+    that validate once expanded and have edges, and a seeded variant of
+    each sweep and corpus diagram with two R1 kinks added."""
+    from kirby import corpus
+
+    two = Diagram("two", (
+        Component("a", FRAMED, 0, edges=("a1",)), Component("b", FRAMED, 0, edges=("b1",)),
+    ))
+    loop = Component("c", FRAMED, 1, edges=("c1",))
+    expanded = [pdcode.expand_twistboxes(d) for d in corpus.load_document().diagrams.values()]
+    expanded = [d for d in expanded if d.edge_owner() and not pdcode.validate(d)]
+    rng = random.Random(5)
+    kinked = []
+    for d in list(sweep_diagrams()) + expanded:
+        for _ in range(2):
+            d = pdcode.r1_insert(d, rng.choice(sorted(d.edge_owner())), rng.choice((1, -1)))
+        kinked.append(d)
+    free = [
+        two,
+        replace(hopf(), components=hopf().components + (loop,)),
+        replace(three_strand_braid(), components=three_strand_braid().components + (loop,)),
+    ]
+    return list(sweep_diagrams()) + free + expanded + kinked
+
+
+def test_r2_layout_from_the_face_matches_the_trial_reference():
+    sites = refused = 0
+    for d in r2_subjects():
+        assert pdcode.validate(d) == [], d.name
+        for e, f in itertools.permutations(d.edge_owner(), 2):
+            got = outcome(pdcode.r2_insert, d, e, f)
+            assert got == outcome(r2_insert_by_trial, d, e, f), (d.name, e, f)
+            if isinstance(got, Diagram):
+                sites += 1
+            else:
+                assert got[0] is pdcode.MoveError, (d.name, e, f)
+                refused += 1
+    assert sites >= 2000 and refused >= 1000, (sites, refused)
+
+
+def test_r2_insert_refuses_an_invalid_diagram():
+    bad = replace(hopf(), crossings=(replace(hopf().crossings[0], sign=-1), hopf().crossings[1]))
+    with pytest.raises(pdcode.MoveError, match="R2 on an invalid diagram: crossing x1: declared"):
+        pdcode.r2_insert(bad, "a1", "b1")
+
+
 def test_box_rotation_follows_box_layout():
     # the pre-layout arithmetic: lefts top to bottom, then the rights bottom
     # to top, with the rows on the right reversed by an odd twist count
@@ -540,7 +664,7 @@ def test_box_rotation_follows_box_layout():
             b = TwistBox("B", t, strands)
             rights = [s.right for s in strands]
             right_order = list(reversed(rights)) if t % 2 else rights
-            rotation, pairings = pdcode._collect_pairings(Diagram("box", boxes=(b,)))
+            rotation, pairings, _, _ = pdcode._collect_pairings(Diagram("box", boxes=(b,)))
             assert rotation["B"] == [s.left for s in strands] + list(reversed(right_order))
             layout = pdcode._box_layout(b)
             assert rotation["B"] == [getattr(strands[row], side) for row, side in layout]
