@@ -669,16 +669,15 @@ def wirtinger(d) -> GroupPresentation:
     faults = pdcode._record_faults(d)
     if faults:
         raise GroupError(faults[0])
-    if d.boxes:
-        d = pdcode.expand_twistboxes(d)
-    d = pdcode.normalize(d)
+    p = pdcode._planar(pdcode.expand_twistboxes(d) if d.boxes else d)
+    d = p.diagram
     for x in d.crossings:
         if not x.is_geometric:
             raise GroupError(f"crossing {x.id} has no planar data")
     for c in d.components:
         if c.is_round and c.through:
             raise GroupError(f"round component {c.id} is not split")
-    inc = pdcode.resolve_incidence(d)
+    inc = p.inc
 
     # arcs: the edges joined across over-strands, numbered by least edge
     arcs = sorted(

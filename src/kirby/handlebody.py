@@ -261,7 +261,9 @@ def _insert_twist_box(d: Diagram, passes, halftwists: int) -> Diagram:
         for p, new in zip(passes, fresh)
     )
     box = TwistBox(d.fresh_id("tb"), halftwists, strands)
-    d = pdcode._split_edges(d, {p.edge: [p.edge, new] for p, new in zip(passes, fresh)})
+    d = pdcode._split_edges(
+        d, pdcode.resolve_incidence(d), {p.edge: [p.edge, new] for p, new in zip(passes, fresh)}
+    )
     cut = {p.edge: (p.seq, new) for p, new in zip(passes, fresh)}
 
     def moved(q: Pass) -> Pass:
@@ -356,7 +358,7 @@ def blowdown(h: Handlebody, u: str) -> Handlebody:
     if not cu.is_round:
         # a free loop (single edge meeting no vertex and carrying no
         # passes) is an unknot diagram too
-        if not (cu.is_loop and cu.edges[0] not in pdcode._collect_pairings(d).uses):
+        if not (cu.is_loop and cu.edges[0] not in pdcode._planar(d).slots.uses):
             raise HandlebodyError(f"component {u} is not round-encoded")
         if any(p.edge == cu.edges[0] for c in d.components for p in c.through):
             raise HandlebodyError(

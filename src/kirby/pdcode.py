@@ -39,17 +39,18 @@ all write through it.  ``_pieces`` is the one search
 for the connected pieces of a planar map, a handlebody or a surface, and
 ``_recut`` the one edit of a component cycle: edge splits, fusing, box
 expansion and the Reidemeister moves all rewrite cycles through it.
-``_collect_pairings`` is the one reading of crossing and box slots: the
-rotation system and the slot and pair counts that ``resolve_incidence``,
-``normalize``, ``validate`` and blowdowns use.  ``_faces`` is the one
-reading of faces for a move site: R2 insertion lays its crossings out
-from the shared face, R2 removal looks for its bigon and R3 its triangle.
+``_planar`` builds the one planar reading of a diagram state, a ``_Planar``
+record: one ``_collect_pairings`` reading of the slots finds every weld, one
+``_fuse`` joins them all, and the record holds the fused diagram, its slots
+and its incidence.  ``validate``, R2 insertion and its edge splits, the R2
+and R3 sites, the Wirtinger arcs and blowdowns all read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 FRAMED = "framed"
@@ -176,8 +177,10 @@ class Diagram:
         return _fresh(used, prefix)
 
     def fresh_edges(self, n: int) -> list[str]:
+        """The first n names ``w<i>`` that no edge has, from one counter."""
         used = {e for c in self.components for e in c.edges}
-        return [_fresh(used, "w") for _ in range(n)]
+        names = map("w{}".format, itertools.count())
+        return list(itertools.islice((e for e in names if e not in used), n))
 
 
 def _fresh(used: set[str], prefix: str) -> str:
@@ -235,11 +238,16 @@ def resolve_incidence(d: Diagram) -> Incidence:
     prefers an assignment under which every declared crossing sign matches
     the planar handedness.
     """
-    rotation, pairings, _uses, doubled = _collect_pairings(d)
+    return _resolve(d, _collect_pairings(d))
+
+
+def _resolve(d: Diagram, slots: _Slots) -> Incidence:
+    """``resolve_incidence`` of d from ``slots``, its slot reading."""
+    rotation, pairings, _uses, doubled = slots
     if doubled:
         raise DiagramError(f"crossing {doubled[0]}: strand uses one edge twice")
     base = _resolve_once(d, rotation, pairings, {})
-    if not _sign_mismatches(d, base):
+    if not _sign_faults(d, base):
         return base
     ambiguous = [k for k, v in pairings.items() if len(v) > 1]
     if not ambiguous:
@@ -250,22 +258,29 @@ def resolve_incidence(d: Diagram) -> Incidence:
             cand = _resolve_once(d, rotation, pairings, dict(zip(ambiguous, combo)))
         except DiagramError:
             continue
-        if not _sign_mismatches(d, cand):
+        if not _sign_faults(d, cand):
             return cand
     return base
 
 
-def _sign_mismatches(d: Diagram, inc: Incidence) -> list[str]:
-    bad = []
+def _sign_faults(d: Diagram, inc: Incidence) -> list[str]:
+    """``validate``'s messages for the geometric crossings of d whose
+    declared sign is not their handedness under ``inc``, or whose
+    handedness cannot be read."""
+    out = []
     for x in d.crossings:
-        if not x.is_geometric:
-            continue
-        try:
-            if derived_sign(d, inc, x) != x.sign:
-                bad.append(x.id)
-        except DiagramError:
-            bad.append(x.id)
-    return bad
+        if x.is_geometric:
+            try:
+                ds = derived_sign(d, inc, x)
+            except DiagramError as err:
+                out.append(str(err))
+                continue
+            if ds != x.sign:
+                out.append(
+                    f"crossing {x.id}: declared sign {x.sign:+d} contradicts "
+                    f"planar handedness {ds:+d}"
+                )
+    return out
 
 
 def _box_layout(b: TwistBox) -> list[tuple[int, str]]:
@@ -293,7 +308,7 @@ def _collect_pairings(d: Diagram) -> _Slots:
     """The one reading of crossing and box slots: the rotation system, per
     unordered adjacent edge pair the vertex incidences that can realize it,
     and per edge its slot count.  A crossing strand that uses one edge
-    twice is recorded, not refused: ``resolve_incidence`` refuses it, after
+    twice is recorded, not refused: the resolution refuses it, after
     ``validate`` has counted the slots."""
     slots = _Slots({}, {}, {}, [])
     rotation, pairings, uses = slots.rotation, slots.pairings, slots.uses
@@ -387,46 +402,31 @@ def derived_sign(d: Diagram, inc: Incidence, x: Crossing) -> int:
             return head_slot
         raise DiagramError(f"crossing {x.id}: cannot locate in-slot of {e}")
 
-    u = in_slot(1 - x.over, under_in)
-    o = in_slot(x.over, over_in)
-    if (u + 1) % 4 == o:
-        return 1
-    if (u - 1) % 4 == o:
-        return -1
-    raise DiagramError(f"crossing {x.id}: in-slots are not adjacent")
+    # the two in-slots differ in parity, so they are neighbours
+    return 1 if (in_slot(1 - x.over, under_in) + 1) % 4 == in_slot(x.over, over_in) else -1
 
 
 def trace_faces(inc: Incidence) -> list[list[tuple[str, int]]]:
-    """Faces of the combinatorial map as orbits of darts (edge, direction)."""
-    darts = [(e, +1) for e in inc.ends] + [(e, -1) for e in inc.ends]
+    """Faces of the combinatorial map as orbits of darts (edge, direction):
+    a dart arriving at a vertex slot goes on along the dart that leaves
+    from the next slot."""
+    leaving = {}  # (vertex, slot) -> the dart that leaves from there
+    for e, (tail, head) in inc.ends.items():
+        leaving[tail], leaving[head] = (e, +1), (e, -1)
     seen = set()
     faces = []
-
-    def next_dart(dart):
-        e, direction = dart
-        tail, head = inc.ends[e]
-
-        vid, slot = head if direction == +1 else tail
-        rot = inc.rotation[vid]
-        nxt = (slot + 1) % len(rot)
-        f = rot[nxt]
-        f_tail, f_head = inc.ends[f]
-        if f_tail == (vid, nxt):
-            return (f, +1)
-        if f_head == (vid, nxt):
-            return (f, -1)
-        raise DiagramError(f"face tracing lost at vertex {vid}")
-
-    for start in darts:
-        if start in seen:
-            continue
+    for start in [(e, +1) for e in inc.ends] + [(e, -1) for e in inc.ends]:
         face = []
         dart = start
         while dart not in seen:
             seen.add(dart)
             face.append(dart)
-            dart = next_dart(dart)
-        faces.append(face)
+            vid, slot = inc.ends[dart[0]][dart[1] > 0]
+            dart = leaving.get((vid, (slot + 1) % len(inc.rotation[vid])))
+            if dart is None:
+                raise DiagramError(f"face tracing lost at vertex {vid}")
+        if face:
+            faces.append(face)
     return faces
 
 
@@ -454,6 +454,32 @@ def _pieces(nodes, pairs) -> list[set]:
     return pieces
 
 
+@dataclass
+class _Planar:
+    """The one planar reading of a diagram state, built by ``_planar``: the
+    diagram with its welds fused, its slot reading and, on demand, its
+    incidence.  It is passed explicitly, never kept on the frozen
+    ``Diagram``, whose ``==`` and ``repr`` would not show it."""
+
+    diagram: Diagram
+    slots: _Slots
+
+    @cached_property
+    def inc(self) -> Incidence:
+        return _resolve(self.diagram, self.slots)
+
+
+def _planar(d: Diagram) -> _Planar:
+    """d's planar record: one slot reading finds every weld, one ``_fuse``
+    joins them all, and only a diagram that changed is read again."""
+    slots = _collect_pairings(d)
+    joins = _welds(d, slots.pairings)
+    if not joins:
+        return _Planar(d, slots)
+    d = _fuse(d, joins)
+    return _Planar(d, _collect_pairings(d))
+
+
 def normalize(d: Diagram) -> Diagram:
     """Fuse consecutive edges of a component that meet at no vertex.
 
@@ -461,28 +487,48 @@ def normalize(d: Diagram) -> Diagram:
     example a circle entering a twist box once and looping back around it);
     fusing them leaves every remaining edge running from vertex slot to
     vertex slot, which the planar checks require.
+
+    One slot reading finds every weld, and each maximal run of welded edges
+    becomes one edge in one pass: the run keeps the least of its names, and
+    its passes are renumbered along the cycle.  The result is the one that
+    fusing a weld at a time gives, the least pair of names first.
     """
-    while True:
-        pairings = _collect_pairings(d).pairings
-        weld = None
-        for c in d.components:
-            if c.is_round or len(c.edges) < 2:
-                continue
-            n = len(c.edges)
-            needed: dict[frozenset, int] = {}
-            for i in range(n):
-                key = frozenset((c.edges[i], c.edges[(i + 1) % n]))
-                if len(key) == 2:
-                    needed[key] = needed.get(key, 0) + 1
-            for key in sorted(needed, key=sorted):
-                if needed[key] > len(pairings.get(key, ())):
-                    weld = sorted(key)
-                    break
-            if weld:
-                break
-        if weld is None:
-            return d
-        d = _fuse(d, *weld)
+    return _fuse(d, _welds(d, _collect_pairings(d).pairings))
+
+
+def _welds(d: Diagram, pairings) -> list[tuple[str, str]]:
+    """The joins (keep, drop) that fuse every weld of d, in an order that
+    gives what fusing a weld at a time, the least pair of names first, does.
+
+    A step of a cycle is a weld when its edge pair has no vertex pairing
+    left for it.  Each maximal run of welded edges, or the whole cycle when
+    at most one step meets a vertex, joins onto its least name, which takes
+    its neighbours one at a time.  A whole cycle takes last the name that
+    the least pairs first leave to the end: its greatest name, or with one
+    vertex the end of the run beyond the greatest name."""
+    joins = []
+    for c in d.components:
+        edges, n = c.edges, len(c.edges)
+        spare: dict[frozenset, int] = {}
+        cuts = []  # the steps i -> i + 1 that meet a vertex
+        for i in range(n):
+            key = frozenset((edges[i], edges[(i + 1) % n]))
+            spare[key] = spare.get(key, len(pairings.get(key, ()))) - 1
+            if len(key) == 1 or spare[key] >= 0:
+                cuts.append(i)
+        if len(cuts) == n:
+            continue
+        # the runs, read from the step after a vertex or, with none, from
+        # the name after the greatest
+        f = cuts[0] + 1 if cuts else edges.index(max(edges)) + 1
+        cycle, bounds = edges[f:] + edges[:f], [0] + [i + 1 - f for i in cuts[1:]] + [n]
+        for run in (cycle[a:b] for a, b in zip(bounds, bounds[1:])):
+            p = run.index(min(run))
+            right, left = run[p + 1:], run[:p][::-1]
+            # the end of the run beyond its greatest name is taken last
+            order = right + left if run.index(max(run)) < p else left + right
+            joins += [(run[p], e) for e in order]
+    return joins
 
 
 def _recut(d: Diagram, chains) -> tuple[Component, ...]:
@@ -496,41 +542,65 @@ def _recut(d: Diagram, chains) -> tuple[Component, ...]:
     )
 
 
-def _fuse(d: Diagram, keep: str, drop: str) -> Diagram:
-    """Join edge ``drop`` onto its neighbour ``keep`` in their component
-    cycle: drop it from the cycle and rename it everywhere.  The passes on
-    the joined edge are renumbered in their order along the cycle: those of
-    whichever edge comes first, then the other's, each by its old key."""
-    comps = list(_recut(d, {drop: ()}))
-    joined = [
-        (ci, pi, p)
-        for ci, c in enumerate(d.components)
-        for pi, p in enumerate(c.through)
-        if p.edge == keep or p.edge == drop
-    ]
-    if joined:
-        edges = next(c.edges for c in d.components if keep in c.edges)
-        n, i, j = len(edges), edges.index(keep), edges.index(drop)
-        first = edges[min(i, j) if n == 2 else (i if (i + 1) % n == j else j)]
-        joined.sort(key=lambda t: (t[2].edge != first, t[2].seq))
-        through = {ci: list(comps[ci].through) for ci, _, _ in joined}
-        for k, (ci, pi, p) in enumerate(joined):
-            through[ci][pi] = replace(p, edge=keep, seq=k)
-        for ci, passes in through.items():
-            comps[ci] = replace(comps[ci], through=tuple(passes))
+def _fuse(d: Diagram, joins) -> Diagram:
+    """d with the joins (keep, drop) of neighbouring edges made in turn,
+    each under the names the earlier ones left: drop leaves its cycle and is
+    renamed keep everywhere, all in one ``_recut`` and one rename.
 
-    def fix(e):
-        return keep if e == drop else e
+    The passes on a joined edge are renumbered in their order along the
+    cycle, each edge's by their old keys: from the first edge of the run
+    or, when the whole cycle becomes one edge, from the first edge of
+    whichever of the last two joined names the cycle lists first."""
+    root: dict[str, str] = {}
 
+    def find(e):
+        while e in root:
+            e = root[e]
+        return e
+
+    where = {e: (ci, i) for ci, c in enumerate(d.components) for i, e in enumerate(c.edges)}
+    arc = {e: (i, 1) for e, (_, i) in where.items()}  # name -> (where its run starts, length)
+    for a, b in ((find(keep), find(drop)) for keep, drop in joins):
+        if a != b:
+            n = len(d.components[where[a][0]].edges)
+            (i, m), (j, k) = arc[a], arc[b]
+            # the run starts with the preceding one or, once it is the whole
+            # cycle, with the one the cycle lists first
+            first = min(a, b, key=where.get) if m + k == n else a if (i + m) % n == j else b
+            arc[a] = (arc[first][0], m + k)
+            root[b] = a
+    if not root:
+        return d
+
+    def pos(e):  # e's place along the edge it joins
+        ci, i = where[e]
+        return (i - arc[find(e)][0]) % len(d.components[ci].edges)
+
+    rename = {e: find(e) for e in root}
+    joined = set(rename.values())
+    comps = list(_recut(d, dict.fromkeys(root, ())))
+    renumbered = sorted(
+        (find(p.edge), pos(p.edge), p.seq, ci, pi)
+        for ci, c in enumerate(comps) for pi, p in enumerate(c.through) if find(p.edge) in joined
+    )
+    through = {ci: list(comps[ci].through) for *_, ci, _ in renumbered}
+    seq: dict[str, int] = {}
+    for r, *_, ci, pi in renumbered:
+        seq[r] = seq.get(r, -1) + 1
+        through[ci][pi] = replace(through[ci][pi], edge=r, seq=seq[r])
+    for ci, ps in through.items():
+        comps[ci] = replace(comps[ci], through=tuple(ps))
     crossings = tuple(
-        replace(x, edges=tuple(map(fix, x.edges))) if x.is_geometric and drop in x.edges else x
+        replace(x, edges=tuple(rename.get(e, e) for e in x.edges))
+        if x.is_geometric and any(e in rename for e in x.edges) else x
         for x in d.crossings
     )
     boxes = tuple(
         replace(b, strands=tuple(
-            replace(s, left=fix(s.left), right=fix(s.right)) for s in b.strands
+            replace(s, left=rename.get(s.left, s.left), right=rename.get(s.right, s.right))
+            for s in b.strands
         ))
-        if any(drop in (s.left, s.right) for s in b.strands) else b
+        if any(s.left in rename or s.right in rename for s in b.strands) else b
         for b in d.boxes
     )
     return Diagram(d.name, tuple(comps), crossings, boxes)
@@ -579,9 +649,15 @@ def _record_faults(d: Diagram) -> list[str]:
 def validate(d: Diagram) -> list[str]:
     """All diagram invariants; returns human-readable violations (empty for
     a valid diagram)."""
+    return _checked(d)[0]
+
+
+def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
+    """``validate``'s violations, and the planar record its planar checks
+    read (None when a structural fault stops it first)."""
     out = _record_faults(d)
     if out:
-        return out  # the checks below index by these fields
+        return out, None  # the checks below index by these fields
     seen_ids: set[str] = set()
     for c in d.components:
         if c.id in seen_ids:
@@ -649,24 +725,21 @@ def validate(d: Diagram) -> list[str]:
             seqs[p.edge].add(p.seq)
 
     if out:
-        return out  # structural problems make the planar checks unreliable
+        return out, None  # structural problems make the planar checks unreliable
 
-    try:
-        d = normalize(d)
-    except DiagramError as err:
-        return [str(err)]
-
+    plan = _planar(d)
+    d = plan.diagram
     out = [
         f"edge {e}: appears {n} times at vertices (expected 2)"
-        for e, n in _collect_pairings(d).uses.items() if n != 2
+        for e, n in plan.slots.uses.items() if n != 2
     ]
     if out:
-        return out
+        return out, plan
 
     try:
-        inc = resolve_incidence(d)
+        inc = plan.inc
     except DiagramError as err:
-        return [str(err)]
+        return [str(err)], plan
 
     for b in d.boxes:
         for row, s in enumerate(b.strands):
@@ -680,37 +753,26 @@ def validate(d: Diagram) -> list[str]:
                     "contradicts the component cycle"
                 )
 
-    for x in d.crossings:
-        if x.is_geometric:
-            try:
-                ds = derived_sign(d, inc, x)
-            except DiagramError as err:
-                out.append(str(err))
-                continue
-            if ds != x.sign:
-                out.append(
-                    f"crossing {x.id}: declared sign {x.sign:+d} contradicts "
-                    f"planar handedness {ds:+d}"
-                )
+    out += _sign_faults(d, inc)
 
-    # planarity: every connected piece of the map is a sphere
+    # planarity: every connected piece of the map is a sphere; V - E + F of
+    # each piece is counted in one pass through a vertex -> piece map
     try:
         faces = trace_faces(inc)
     except DiagramError as err:
-        return out + [str(err)]
+        return out + [str(err)], plan
     vertices = [v for v, rot in inc.rotation.items() if rot]
-    for piece in _pieces(vertices, [(t[0], h[0]) for t, h in inc.ends.values()]):
-        v = len(piece)
-        e = sum(1 for _, (tail, _head) in inc.ends.items() if tail[0] in piece)
-        f = sum(
-            1
-            for face in faces
-            if face and inc.ends[face[0][0]][0][0] in piece
-        )
-        if v - e + f != 2:
-            out.append(
-                f"nonplanar piece at vertices {sorted(piece)}: V-E+F = {v - e + f}"
-            )
+    pieces = _pieces(vertices, [(t[0], h[0]) for t, h in inc.ends.values()])
+    piece = {v: i for i, vs in enumerate(pieces) for v in vs}
+    euler = [len(vs) for vs in pieces]
+    for tail, _head in inc.ends.values():
+        euler[piece[tail[0]]] -= 1
+    for face in faces:
+        euler[piece[inc.ends[face[0][0]][0][0]]] += 1
+    out += [
+        f"nonplanar piece at vertices {sorted(vs)}: V-E+F = {chi}"
+        for vs, chi in zip(pieces, euler) if chi != 2
+    ]
 
     # integral linking: signed crossing totals between distinct components
     # must be even; reported in the order of the component pairs
@@ -724,7 +786,7 @@ def validate(d: Diagram) -> list[str]:
         out.append(
             f"components {d.components[i].id},{d.components[j].id}: odd crossing count {total}"
         )
-    return out
+    return out, plan
 
 
 # ---------------------------------------------------------------------------
@@ -987,12 +1049,8 @@ def _expand_one_box(d: Diagram, b: TwistBox) -> Diagram:
     k = len(b.strands)
     t = b.halftwists
     if t == 0 or k < 2:
-        # box dissolves: each strand's two edges join; the strands are read
-        # from the box as the earlier joins renamed them
-        for row in range(k):
-            s = d.box(b.id).strands[row]
-            if s.left != s.right:
-                d = _fuse(d, s.left, s.right)
+        # box dissolves: each strand's right edge joins onto its left one
+        d = _fuse(d, [(s.left, s.right) for s in b.strands])
         return replace(d, boxes=tuple(x for x in d.boxes if x.id != b.id))
     d = replace(d, boxes=tuple(x for x in d.boxes if x.id != b.id))
 
@@ -1091,15 +1149,14 @@ def reidemeister(d: Diagram, move: str, site) -> Diagram:
     raise MoveError(f"unknown move {move!r} or site {site!r}")
 
 
-def _split_edges(d: Diagram, splits: dict[str, list[str]]) -> Diagram:
+def _split_edges(d: Diagram, inc: Incidence, splits: dict[str, list[str]]) -> Diagram:
     """Cut each edge e of ``splits`` into the chain ``splits[e]``, which
     starts with e: the chain replaces e in its component cycle, and the
-    vertex slot at e's head, if it has one, takes the chain's last piece.
-    The caller adds whatever joins the pieces."""
+    vertex slot at e's head in ``inc``, d's incidence, if it has one, takes
+    the chain's last piece.  The caller adds whatever joins the pieces."""
     heads: dict[str, dict[int, str]] = {}
-    ends = resolve_incidence(d).ends
     for e, pieces in splits.items():
-        head = ends.get(e, (None, None))[1]
+        head = inc.ends.get(e, (None, None))[1]
         if head is not None:
             heads.setdefault(head[0], {})[head[1]] = pieces[-1]
     crossings = tuple(
@@ -1154,7 +1211,7 @@ def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
     if edge not in owner:
         raise MoveError(f"no edge {edge!r}")
     g, f = d.fresh_edges(2)
-    d2 = _split_edges(d, {edge: [edge, g, f]})
+    d2 = _split_edges(d, resolve_incidence(d), {edge: [edge, g, f]})
     x = Crossing(
         id=d.fresh_id("r1_"),
         sign=sign,
@@ -1184,23 +1241,6 @@ def r1_remove(d: Diagram, xid: str) -> Diagram:
     return _delete(d, (xid,), (g,))
 
 
-def _with_derived_signs(d: Diagram, ids: set[str]) -> Diagram:
-    inc = resolve_incidence(d)
-    crossings = tuple(
-        replace(x, sign=derived_sign(d, inc, x)) if x.id in ids else x
-        for x in d.crossings
-    )
-    return replace(d, crossings=crossings)
-
-
-def _faces(d: Diagram) -> tuple[Diagram, Incidence, list[list[tuple[str, int]]]]:
-    """d normalized, its incidence and its faces: the one reading of faces
-    for the sites of the Reidemeister moves."""
-    d = normalize(d)
-    inc = resolve_incidence(d)
-    return d, inc, trace_faces(inc)
-
-
 # the R2 layout for a dart pair (over_edge, d_e), (under_edge, d_f) on a
 # shared face, keyed by the directions (d_e, d_f)
 _R2_LAYOUT = {(1, -1): 0, (-1, 1): 1, (-1, -1): 2, (1, 1): 3}
@@ -1221,10 +1261,10 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
             raise MoveError(f"no edge {e!r}")
     if over_edge == under_edge:
         raise MoveError("R2 needs two distinct edges")
-    problems = validate(d)
+    problems, p = _checked(d)
     if problems:
         raise MoveError(f"R2 on an invalid diagram: {problems[0]}")
-    dn, inc, faces = _faces(d)
+    dn, inc = p.diagram, p.inc
     if over_edge not in dn.edge_owner() or under_edge not in dn.edge_owner():
         raise MoveError("site edges vanish under normalization")
     layout = 0
@@ -1232,7 +1272,7 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
         layout = min(
             (
                 _R2_LAYOUT[d_e, d_f]
-                for face in faces
+                for face in trace_faces(inc)
                 for e, d_e in face if e == over_edge
                 for f, d_f in face if f == under_edge
             ),
@@ -1241,8 +1281,8 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
         if layout is None:
             raise MoveError(f"edges {over_edge},{under_edge} do not share a face")
     em, e2, fm, f2 = dn.fresh_edges(4)
-    base = _split_edges(dn, {over_edge: [over_edge, em, e2],
-                             under_edge: [under_edge, fm, f2]})
+    base = _split_edges(dn, inc, {over_edge: [over_edge, em, e2],
+                                  under_edge: [under_edge, fm, f2]})
     x1id, x2id = base.fresh_id("r2a_"), base.fresh_id("r2b_")
     # the under pieces at slots 1 and 3 of the first and the second crossing
     (a1, a3), (b1, b3) = (
@@ -1251,12 +1291,14 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
         ((fm, f2), (fm, under_edge)),
         ((f2, fm), (under_edge, fm)),
     )[layout]
+    # the over strand enters the first crossing at slot 0 and the under
+    # strand at slot 3 in layouts 1 and 3, which makes that crossing positive
+    sign = 1 if layout % 2 else -1
     pair = (
-        Crossing(x1id, 1, edges=(over_edge, a1, em, a3), over=0),
-        Crossing(x2id, 1, edges=(em, b1, e2, b3), over=0),
+        Crossing(x1id, sign, edges=(over_edge, a1, em, a3), over=0),
+        Crossing(x2id, -sign, edges=(em, b1, e2, b3), over=0),
     )
-    poked = normalize(replace(base, crossings=base.crossings + pair))
-    return _with_derived_signs(poked, {x1id, x2id})
+    return normalize(replace(base, crossings=base.crossings + pair))
 
 
 def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
@@ -1267,7 +1309,8 @@ def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
         raise MoveError(f"crossings {xid1},{xid2} share {len(shared)} edges")
     if x1.sign + x2.sign != 0:
         raise MoveError("crossing signs do not cancel")
-    bigons = {frozenset(dart[0] for dart in face) for face in _faces(d)[2] if len(face) == 2}
+    faces = trace_faces(_planar(d).inc)
+    bigons = {frozenset(dart[0] for dart in face) for face in faces if len(face) == 2}
 
     def is_site(em, fm):
         """The shared pair must lie on opposite strands of both crossings,
@@ -1295,7 +1338,8 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
     xid3 of the other two strands.  The three crossings must bound a
     triangular face, and the moving strand must be over (or under) at both
     of its crossings."""
-    d, inc, faces = _faces(d)
+    p = _planar(d)
+    d, inc = p.diagram, p.inc
     x, y, z = _geometric(d, xid1, xid2, xid3)
 
     def joins(e: str) -> frozenset:
@@ -1303,7 +1347,7 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
         return frozenset((tail[0], head[0]))
 
     site = None
-    for face in faces:
+    for face in trace_faces(inc):
         if len(face) != 3:
             continue
         edges = [dart[0] for dart in face]

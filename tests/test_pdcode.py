@@ -1,11 +1,14 @@
 """Framed-link diagram structure, validation, and Reidemeister moves."""
 
+import contextlib
 import itertools
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kirby import grouppres, pdcode
 from kirby.pdcode import (
@@ -572,8 +575,9 @@ def r2_insert_by_trial(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
     if not share_face(dn, over_edge, under_edge):
         raise pdcode.MoveError(f"edges {over_edge},{under_edge} do not share a face")
     em, e2, fm, f2 = dn.fresh_edges(4)
-    base = pdcode._split_edges(dn, {over_edge: [over_edge, em, e2],
-                                    under_edge: [under_edge, fm, f2]})
+    base = pdcode._split_edges(dn, pdcode.resolve_incidence(dn), {
+        over_edge: [over_edge, em, e2], under_edge: [under_edge, fm, f2],
+    })
     x1id, x2id = base.fresh_id("r2a_"), base.fresh_id("r2b_")
     # the first crossing on the under pieces (under_edge, fm) or on
     # (fm, f2), each with both relative directions of the strands
@@ -599,13 +603,23 @@ def r2_insert_by_trial(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
     for pair in layouts:
         cand = replace(base, crossings=base.crossings + pair)
         try:
-            cand = pdcode._with_derived_signs(pdcode.normalize(cand), {x1id, x2id})
+            cand = with_derived_signs(pdcode.normalize(cand), {x1id, x2id})
         except pdcode.DiagramError as err:
             last_err = err
             continue
         if not pdcode.validate(cand):
             return cand
     raise pdcode.MoveError(f"no planar R2 layout at ({over_edge},{under_edge}): {last_err}")
+
+
+def with_derived_signs(d: Diagram, ids: set[str]) -> Diagram:
+    """d with the crossings ``ids`` signed by their planar handedness."""
+    inc = pdcode.resolve_incidence(d)
+    crossings = tuple(
+        replace(x, sign=pdcode.derived_sign(d, inc, x)) if x.id in ids else x
+        for x in d.crossings
+    )
+    return replace(d, crossings=crossings)
 
 
 def r2_subjects() -> list[Diagram]:
@@ -785,11 +799,63 @@ def _rename_edge(d: Diagram, old: str, new: str) -> Diagram:
     return Diagram(d.name, comps, crossings, boxes)
 
 
+def normalize_by_welds(d: Diagram) -> Diagram:
+    """Weld-at-a-time normalization, reading the slots again after every
+    fuse: the reference for ``pdcode.normalize``.  The least welded pair of
+    the first component that has one is fused onto its lesser name."""
+    while True:
+        pairings = pdcode._collect_pairings(d).pairings
+        weld = None
+        for c in d.components:
+            if c.is_round or len(c.edges) < 2:
+                continue
+            n = len(c.edges)
+            needed: dict[frozenset, int] = {}
+            for i in range(n):
+                key = frozenset((c.edges[i], c.edges[(i + 1) % n]))
+                if len(key) == 2:
+                    needed[key] = needed.get(key, 0) + 1
+            for key in sorted(needed, key=sorted):
+                if needed[key] > len(pairings.get(key, ())):
+                    weld = sorted(key)
+                    break
+            if weld:
+                break
+        if weld is None:
+            return d
+        d = fuse_pair(d, *weld)
+
+
+def fuse_pair(d: Diagram, keep: str, drop: str) -> Diagram:
+    """Join edge ``drop`` onto its neighbour ``keep`` in their component
+    cycle: drop it from the cycle and rename it everywhere.  The passes on
+    the joined edge are renumbered in their order along the cycle: those of
+    whichever edge comes first, then the other's, each by its old key."""
+    comps = list(pdcode._recut(d, {drop: ()}))
+    joined = [
+        (ci, pi, p)
+        for ci, c in enumerate(d.components)
+        for pi, p in enumerate(c.through)
+        if p.edge == keep or p.edge == drop
+    ]
+    if joined:
+        edges = next(c.edges for c in d.components if keep in c.edges)
+        n, i, j = len(edges), edges.index(keep), edges.index(drop)
+        first = edges[min(i, j) if n == 2 else (i if (i + 1) % n == j else j)]
+        joined.sort(key=lambda t: (t[2].edge != first, t[2].seq))
+        through = {ci: list(comps[ci].through) for ci, _, _ in joined}
+        for k, (ci, pi, p) in enumerate(joined):
+            through[ci][pi] = replace(p, edge=keep, seq=k)
+        for ci, passes in through.items():
+            comps[ci] = replace(comps[ci], through=tuple(passes))
+    return _rename_edge(replace(d, components=tuple(comps)), drop, keep)
+
+
 def spliced_expansion(d: Diagram) -> Diagram:
     """Twist-box expansion by splicing fresh edges into the cycles and then
     renaming each strand's last one to its right edge: the reference that
     ``expand_twistboxes`` must reproduce name for name."""
-    d = pdcode.normalize(d)
+    d = normalize_by_welds(d)
     while d.boxes:
         d = _spliced_box(d, d.boxes[0])
     return d
@@ -802,7 +868,7 @@ def _spliced_box(d: Diagram, b: TwistBox) -> Diagram:
         for row in range(k):
             s = d.box(b.id).strands[row]
             if s.left != s.right:
-                d = pdcode._fuse(d, s.left, s.right)
+                d = fuse_pair(d, s.left, s.right)
         return replace(d, boxes=tuple(x for x in d.boxes if x.id != b.id))
     d = replace(d, boxes=tuple(x for x in d.boxes if x.id != b.id))
 
@@ -964,3 +1030,219 @@ def test_from_words_round_trips_through_its_readers():
             for j in range(i + 1, len(comps)):
                 pair = tuple(sorted((a, ids[j])))
                 assert q[i][j] == linking.get(pair, share.get(pair, 0)), (trial, pair)
+
+
+def fuse_in_turn(d: Diagram, joins) -> Diagram:
+    """The joins (keep, drop) of ``pdcode._fuse`` made one ``fuse_pair`` at
+    a time, each under the names the earlier ones left: the reference for
+    ``_fuse`` as a twist box dissolves."""
+    renamed: dict[str, str] = {}
+
+    def now(e):
+        while e in renamed:
+            e = renamed[e]
+        return e
+
+    for keep, drop in joins:
+        keep, drop = now(keep), now(drop)
+        if keep != drop:
+            d = fuse_pair(d, keep, drop)
+            renamed[drop] = keep
+    return d
+
+
+@contextlib.contextmanager
+def weld_at_a_time():
+    """Every normalization in pdcode and grouppres, the planar record's
+    included, runs ``normalize_by_welds``, and a dissolving box fuses its
+    strands one at a time."""
+    def planar(d):
+        n = normalize_by_welds(d)
+        return pdcode._Planar(n, pdcode._collect_pairings(n))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pdcode, "normalize", normalize_by_welds)
+        mp.setattr(pdcode, "_planar", planar)
+        mp.setattr(pdcode, "_fuse", fuse_in_turn)
+        yield
+
+
+READERS = (
+    lambda d: pdcode.normalize(d),
+    lambda d: pdcode.validate(d),
+    lambda d: pdcode.expand_twistboxes(d),
+    lambda d: str(grouppres.wirtinger(d)),
+)
+
+
+def agrees_with_fusing_a_weld_at_a_time(d: Diagram) -> bool:
+    got = [outcome(read, d) for read in READERS]
+    with weld_at_a_time():
+        return got == [outcome(read, d) for read in READERS]
+
+
+def test_one_pass_fusing_matches_the_weld_at_a_time_reference():
+    m = Component("m", DOTTED, through=(
+        Pass("e1", 1, 0), Pass("e3", -1, 0), Pass("e2", 1, 0), Pass("e4", -1, 1), Pass("e4", 1, 0),
+    ))
+    dotted = [replace(clasp(t), components=clasp(t).components + (m,)) for t in range(4)]
+    subjects = expansion_subjects() + r2_subjects() + dotted
+    assert (len(subjects), len(r2_subjects())) == (635, 83)
+    for d in subjects:
+        assert agrees_with_fusing_a_weld_at_a_time(d), d.name
+    # e3's pass comes before e1's on the joined e1, and e2's before e4's
+    assert pdcode.normalize(dotted[3]).component("m").through == (
+        Pass("e1", 1, 1), Pass("e1", -1, 0), Pass("e2", 1, 0), Pass("e2", -1, 2), Pass("e2", 1, 1),
+    )
+
+
+@st.composite
+def welded_cycles(draw):
+    """One or two framed cycles cut into runs of 1-50 edges that meet no
+    vertex, the runs joined through the strands of one twist box (a cycle
+    with no strand, or with one, is a single run), each cycle listed from a
+    random edge so that runs wrap across its end, and two dotted circles
+    passing the edges under keys in random order.  Edge names are random,
+    so the least and the greatest name of a run sit anywhere in it."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = (f"e{i}" for i in rng.sample(range(10000), 400))
+    comps, strands = [], []
+    for ci in range(draw(st.integers(1, 2))):
+        vertices = draw(st.integers(0, 3))
+        runs = [
+            [next(names) for _ in range(n)]
+            for n in draw(st.lists(st.integers(1, 50), min_size=max(vertices, 1),
+                                   max_size=max(vertices, 1)))
+        ]
+        if vertices:
+            strands += [BoxStrand(a[-1], b[0]) for a, b in zip(runs, runs[1:] + runs[:1])]
+        edges = [e for run in runs for e in run]
+        shift = draw(st.integers(0, len(edges) - 1))
+        comps.append(Component(f"k{ci}", FRAMED, 0, edges=tuple(edges[shift:] + edges[:shift])))
+    passes: list[list[Pass]] = [[], []]
+    for e in (e for c in comps for e in c.edges):
+        for seq in rng.sample(range(9), rng.choice((0, 0, 1, 2))):
+            passes[rng.randrange(2)].append(Pass(e, rng.choice((1, -1)), seq))
+    for i, through in enumerate(passes):
+        rng.shuffle(through)
+        comps.append(Component(f"m{i}", DOTTED, through=tuple(through)))
+    boxes = (TwistBox("B", draw(st.integers(0, 3)), tuple(strands)),) if strands else ()
+    return Diagram("welded", tuple(comps), boxes=boxes)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(welded_cycles())
+def test_one_pass_fusing_matches_the_reference_on_welded_cycles(d):
+    assert agrees_with_fusing_a_weld_at_a_time(d)
+
+
+def lines_run(f, *args) -> int:
+    """The lines of pdcode that f(*args) runs, counted by a tracer: a
+    measure of work that does not depend on the machine."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != pdcode.__file__:
+            return None
+        count += event == "line"
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        f(*args)
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_fresh_edges_tries_at_most_one_name_per_edge_or_answer():
+    # on m edges w0, w2, ..., fresh_edges(m) tries 2m names from one
+    # counter; starting again from w0 for every name tries about m * m
+    for m in (100, 200):
+        d = Diagram("d", (Component("a", FRAMED, 0, edges=tuple(f"w{2 * i}" for i in range(m))),))
+        assert d.fresh_edges(m) == [f"w{2 * i + 1}" for i in range(m)]
+        assert lines_run(d.fresh_edges, m) <= 3 * (m + m), m
+
+
+def hopf_links(m: int, virtual_at: int | None = None) -> Diagram:
+    """m split Hopf links, the one at ``virtual_at`` replaced by a
+    two-crossing diagram that is no sphere."""
+    comps, crossings = [], []
+    for i in range(m):
+        a, b = (f"{c}{i}" for c in "ab")
+        if i == virtual_at:
+            edges = tuple(f"{a}e{k}" for k in range(1, 5))
+            comps.append(Component(a, FRAMED, 0, edges=edges))
+            crossings += [
+                Crossing(f"x{i}", 1, edges=tuple(edges[k] for k in (0, 1, 3, 2)), over=0),
+                Crossing(f"y{i}", -1, edges=tuple(edges[k] for k in (0, 2, 1, 3)), over=0),
+            ]
+            continue
+        comps += [Component(c, FRAMED, 0, edges=(f"{c}1", f"{c}2")) for c in (a, b)]
+        crossings += [
+            Crossing(f"x{i}", 1, edges=(f"{a}1", f"{b}1", f"{a}2", f"{b}2"), over=1),
+            Crossing(f"y{i}", 1, edges=(f"{b}2", f"{a}2", f"{b}1", f"{a}1"), over=1),
+        ]
+    return Diagram("hopfs", tuple(comps), tuple(crossings))
+
+
+def test_planarity_is_counted_in_one_pass_over_the_pieces():
+    assert pdcode.validate(hopf_links(5, virtual_at=2)) == [
+        "nonplanar piece at vertices ['x2', 'y2']: V-E+F = 0"
+    ]
+    # per piece, a re-sum over every edge and face grows with m * m
+    small, large = (lines_run(pdcode.validate, hopf_links(m)) for m in (100, 200))
+    assert large < 2.5 * small, (small, large)
+
+
+def welded_unknot(k: int) -> Diagram:
+    return Diagram("u", (Component("a", FRAMED, 0, edges=tuple(f"a{i}" for i in range(k))),))
+
+
+def counting(monkeypatch, *names) -> dict[str, int]:
+    """Calls of the pdcode functions ``names`` from now on.  Of
+    ``_resolve_once`` only the first attempt of a resolution counts, the
+    one under no pool orders; the retries under other orders do not."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += name != "_resolve_once" or not args[3]
+            return f(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(pdcode, name, counted(name, getattr(pdcode, name)))
+    return calls
+
+
+def test_validate_reads_one_planar_record(monkeypatch):
+    calls = counting(monkeypatch, "_collect_pairings", "_resolve_once", "trace_faces")
+    assert pdcode.validate(hopf()) == []
+    assert calls == {"_collect_pairings": 1, "_resolve_once": 1, "trace_faces": 1}
+    for d in (clasp(3), welded_unknot(800)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert pdcode.validate(d) == []
+        assert calls["_collect_pairings"] <= 2, d.name
+
+
+def test_r2_insert_resolves_its_input_once(monkeypatch):
+    # the validation, the face lookup and the edge split read one record;
+    # the signs of the new pair come from its layout, not from a resolution
+    calls = counting(monkeypatch, "_resolve_once")
+    loops = replace(welded_unknot(9), components=welded_unknot(9).components + (
+        Component("b", FRAMED, 0, edges=("b0", "b1")),
+    ))
+    for d, e, f in ((hopf(), "a1", "b1"), (clasp(3), "e1", "e2"), (loops, "a0", "b0")):
+        calls["_resolve_once"] = 0
+        poked = pdcode.r2_insert(d, e, f)
+        assert calls["_resolve_once"] == 1, (d.name, e, f)
+        assert pdcode.validate(poked) == [], (d.name, e, f)
+
+
+def test_wirtinger_normalizes_once(monkeypatch):
+    calls = counting(monkeypatch, "normalize")
+    assert str(grouppres.wirtinger(torus_knot(5))).startswith("<")
+    assert calls == {"normalize": 1}
