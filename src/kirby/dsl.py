@@ -1,4 +1,4 @@
-"""Text formats for diagrams, surfaces, and move scripts.
+r"""Text formats for diagrams, surfaces, and move scripts.
 
 One document may contain several blocks:
 
@@ -26,8 +26,17 @@ One document may contain several blocks:
       assert boundary_h1 = "0";
     }
 
-`#` starts a comment; declarations end with `;`.  Parse errors carry line
-and column.  Values may be integers, `$param` references, signs `+`/`-`,
+Lexically (one regular expression, ``_LEXEME``) a text is a sequence of
+these, tried in this order: whitespace (space, tab, CR), a newline, a
+comment (`#` to the end of the line), a string (`"` to the next `"` on its
+line), punctuation (one of `{}()[],;=$`), an integer (`[+-]?\d+`, where
+`\d` is `str.isdecimal`), a sign (`+` or `-`) and a name (`[\w.]+`, where
+`\w` is `str.isalnum` or `_`).  Any other character is a ParseError, and
+at a `"` an unterminated string.  The parser reads tokens one at a time,
+at most two ahead, but a lexical fault anywhere is still reported first.
+
+Declarations end with `;`.  Parse errors carry line and column, counted
+in code points.  Values may be integers, `$param` references, signs `+`/`-`,
 bare identifiers, quoted strings, tuples `( ... )`, and matrices
 `[[...],[...]]`.  The list-valued keys (`edges`, `between`, `strands`,
 `through`, `passes`) take a parenthesised tuple, and each diagram and
@@ -38,7 +47,10 @@ must have the keys that row requires.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import pdcode
 from .pdcode import BoxStrand, Component, Crossing, Diagram, Pass, TwistBox
@@ -54,68 +66,49 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = "{}()[],;=$"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "string" | "punct" | "sign"
     value: str
     line: int
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
-    out = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+_PUNCT = "{}()[],;=$"
+# The lexical grammar; the group that matched is the kind of the lexeme.
+_LEXEME = re.compile(
+    r"[ \t\r]+"  # whitespace
+    r"|(?P<newline>\n)"
+    r"|#[^\n]*"  # comment
+    r'|"(?P<string>[^"\n]*)"'
+    r"|(?P<punct>[" + re.escape(_PUNCT) + "])"
+    r"|(?P<int>[+-]?\d+)"
+    r"|(?P<sign>[+-])"
+    r"|(?P<name>[\w.]+)"
+    r"|(?P<fault>.)"  # a character that starts no lexeme
+)
+
+
+def _tokens(text: str) -> Iterator[Token]:
+    """The tokens of ``text``, one at a time; a character no token can start
+    is a ParseError at its line and column (counted in code points)."""
+    line, start = 1, 0  # start: the offset of the current line
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace or a comment
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            out.append(Token("string", text[i + 1:j], line, start_col))
-            j += 1
-        elif ch in _PUNCT:
-            out.append(Token("punct", ch, line, start_col))
-            j = i + 1
-        elif ch.isdecimal() or (ch in "+-" and text[i + 1:i + 2].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            out.append(Token("int", text[i:j], line, start_col))
-        elif ch in "+-":
-            out.append(Token("sign", ch, line, start_col))
-            j = i + 1
-        elif ch.isalnum() or ch in "_.":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            out.append(Token("name", text[i:j], line, start_col))
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "fault":
+            ch = m[kind]
+            msg = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise ParseError(msg, line, m.start() - start + 1)
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, start_col)
-        col += j - i
-        i = j
-    return out
+            yield Token(kind, m[kind], line, m.start() - start + 1)
+
+
+def tokenize(text: str) -> list[Token]:
+    return list(_tokens(text))
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +247,38 @@ _MAX_NESTING = 16  # the formats nest 2 deep: strands=((k1, k2, +)), form=[[1]]
 
 
 class _Parser:
+    """Reads tokens one at a time from ``_tokens``, looking at most two
+    ahead, so that it holds its output and O(1) tokens."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.stream = _tokens(text)
+        self.ahead: list[Token] = []  # tokens read from the stream, not yet taken
+        self.last = Token("punct", "", 1, 1)  # the last token read
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self, k: int = 0) -> Token | None:
+        """The token ``k`` ahead (0: the next one); None past the end of the text."""
+        ahead = self.ahead
+        while len(ahead) <= k:
+            t = next(self.stream, None)
+            if t is None:
+                return None
+            ahead.append(t)
+            self.last = t
+        return ahead[k]
 
     def error(self, msg: str):
         t = self.peek()
         if t is None:
-            last = self.tokens[-1] if self.tokens else Token("punct", "", 1, 1)
-            raise ParseError(f"{msg} (at end of input)", last.line, last.col)
+            raise ParseError(f"{msg} (at end of input)", self.last.line, self.last.col)
         raise ParseError(f"{msg} (found {t.value!r})", t.line, t.col)
 
     def take(self, kind: str | None = None, value: str | None = None) -> Token:
         t = self.peek()
         if t is None or (kind and t.kind != kind) or (value and t.value != value):
             self.error(f"expected {value or kind}")
-        self.pos += 1
+        del self.ahead[0]
         return t
 
     def at(self, kind: str, value: str | None = None) -> bool:
@@ -283,21 +287,14 @@ class _Parser:
 
     def keyword(self, allowed, expected: str) -> Token:
         """The next token, a name in ``allowed``; ``expected`` names them."""
-        t = self.take("name")
-        if t.value not in allowed:
-            self.pos -= 1
+        if self.at("name") and self.peek().value not in allowed:
             self.error(expected)
-        return t
+        return self.take("name")
 
     def key_follows(self) -> bool:
         """Whether the next two tokens are ``name =``."""
-        toks, p = self.tokens, self.pos
-        return (
-            p + 1 < len(toks)
-            and toks[p].kind == "name"
-            and toks[p + 1].kind == "punct"
-            and toks[p + 1].value == "="
-        )
+        name, eq = self.peek(), self.peek(1)
+        return eq is not None and name.kind == "name" and (eq.kind, eq.value) == ("punct", "=")
 
     # -- values -------------------------------------------------------------
 
@@ -305,9 +302,9 @@ class _Parser:
         """int | signed name | name | string | tuple | matrix, read inside
         ``depth`` brackets; a bracket past ``_MAX_NESTING`` is refused."""
         t = self.peek()
-        if t is None:
+        if t is None or t.kind == "punct" and t.value not in "$([":
             self.error("expected a value")
-        self.pos += 1
+        del self.ahead[0]
         if t.kind == "int":
             return int(t.value)
         if t.kind == "string":
@@ -328,19 +325,16 @@ class _Parser:
             if name not in params:
                 raise ParseError(f"unknown parameter ${name}", t.line, t.col)
             return params[name]
-        if t.value in "([":
-            if depth == _MAX_NESTING:
-                raise ParseError(f"nested deeper than {_MAX_NESTING} brackets", t.line, t.col)
-            close = ")" if t.value == "(" else "]"
-            items = []
-            while not self.at("punct", close):
-                items.append(self.value(params, depth + 1))
-                if self.at("punct", ","):
-                    self.pos += 1
-            self.take("punct", close)
-            return tuple(items) if close == ")" else items
-        self.pos -= 1
-        self.error("expected a value")
+        if depth == _MAX_NESTING:  # t is "(" or "["
+            raise ParseError(f"nested deeper than {_MAX_NESTING} brackets", t.line, t.col)
+        close = ")" if t.value == "(" else "]"
+        items = []
+        while not self.at("punct", close):
+            items.append(self.value(params, depth + 1))
+            if self.at("punct", ","):
+                self.take()
+        self.take("punct", close)
+        return tuple(items) if close == ")" else items
 
     def declaration(self, kw: Token, params: dict) -> tuple[str, dict]:
         """The id, ``key=value`` pairs and ``;`` of the declaration that
@@ -372,19 +366,16 @@ class _Parser:
 
     def document(self) -> Document:
         doc = Document()
+        blocks = {
+            "diagram": (self.diagram_block, doc.diagrams),
+            "surface": (self.surface_block, doc.surfaces),
+            "script": (self.script_block, doc.scripts),
+        }
         while self.peek() is not None:
-            kw = self.keyword(
-                ("diagram", "surface", "script"), "expected 'diagram', 'surface', or 'script'"
-            )
-            if kw.value == "diagram":
-                d = self.diagram_block()
-                doc.diagrams[d.name] = d
-            elif kw.value == "surface":
-                s = self.surface_block()
-                doc.surfaces[s.name] = s
-            else:
-                s = self.script_block()
-                doc.scripts[s.name] = s
+            kw = self.keyword(blocks, "expected 'diagram', 'surface', or 'script'")
+            read, into = blocks[kw.value]
+            block = read()
+            into[block.name] = block
         return doc
 
     def diagram_block(self) -> Diagram:
@@ -481,7 +472,7 @@ class _Parser:
                     self.error("expected ';'")
                 if self.key_follows():
                     key = self.take().value
-                    self.pos += 1  # the "="
+                    self.take()  # the "="
                     args[key] = self.value({})
                     continue
                 p = self.value({})
@@ -497,7 +488,14 @@ class _Parser:
 
 
 def parse(text: str) -> Document:
-    return _Parser(text).document()
+    parser = _Parser(text)
+    try:
+        return parser.document()
+    finally:
+        # lex the rest of the text, so that a lexical fault anywhere in it
+        # is reported before any fault the parser found
+        for _ in parser.stream:
+            pass
 
 
 def _merge(parts) -> Document:

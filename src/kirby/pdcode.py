@@ -238,20 +238,22 @@ def resolve_incidence(d: Diagram) -> Incidence:
     prefers an assignment under which every declared crossing sign matches
     the planar handedness.
     """
-    return _resolve(d, _collect_pairings(d))
+    return _resolve(d, _collect_pairings(d))[0]
 
 
-def _resolve(d: Diagram, slots: _Slots) -> Incidence:
-    """``resolve_incidence`` of d from ``slots``, its slot reading."""
+def _resolve(d: Diagram, slots: _Slots) -> tuple[Incidence, list[str]]:
+    """``resolve_incidence`` of d from ``slots``, its slot reading, and the
+    ``_sign_faults`` of d under that incidence."""
     rotation, pairings, _uses, doubled = slots
     if doubled:
         raise DiagramError(f"crossing {doubled[0]}: strand uses one edge twice")
     base = _resolve_once(d, rotation, pairings, {})
-    if not _sign_faults(d, base):
-        return base
+    faults = _sign_faults(d, base)
+    if not faults:
+        return base, faults
     ambiguous = [k for k, v in pairings.items() if len(v) > 1]
     if not ambiguous:
-        return base
+        return base, faults
     orders = [list(itertools.permutations(range(len(pairings[k])))) for k in ambiguous]
     for combo in itertools.islice(itertools.product(*orders), 64):
         try:
@@ -259,8 +261,8 @@ def _resolve(d: Diagram, slots: _Slots) -> Incidence:
         except DiagramError:
             continue
         if not _sign_faults(d, cand):
-            return cand
-    return base
+            return cand, []
+    return base, faults
 
 
 def _sign_faults(d: Diagram, inc: Incidence) -> list[str]:
@@ -458,15 +460,20 @@ def _pieces(nodes, pairs) -> list[set]:
 class _Planar:
     """The one planar reading of a diagram state, built by ``_planar``: the
     diagram with its welds fused, its slot reading and, on demand, its
-    incidence.  It is passed explicitly, never kept on the frozen
-    ``Diagram``, whose ``==`` and ``repr`` would not show it."""
+    incidence with the sign faults under it.  It is passed explicitly, never
+    kept on the frozen ``Diagram``, whose ``==`` and ``repr`` would not show
+    it."""
 
     diagram: Diagram
     slots: _Slots
 
     @cached_property
-    def inc(self) -> Incidence:
+    def resolved(self) -> tuple[Incidence, list[str]]:
         return _resolve(self.diagram, self.slots)
+
+    @property
+    def inc(self) -> Incidence:
+        return self.resolved[0]
 
 
 def _planar(d: Diagram) -> _Planar:
@@ -737,7 +744,7 @@ def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
         return out, plan
 
     try:
-        inc = plan.inc
+        inc, sign_faults = plan.resolved
     except DiagramError as err:
         return [str(err)], plan
 
@@ -753,7 +760,7 @@ def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
                     "contradicts the component cycle"
                 )
 
-    out += _sign_faults(d, inc)
+    out += sign_faults
 
     # planarity: every connected piece of the map is a sphere; V - E + F of
     # each piece is counted in one pass through a vertex -> piece map

@@ -3,6 +3,7 @@
 import ast
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -911,6 +912,23 @@ def test_parse_matches_reference_on_mutations():
     assert {"list value", "unknown key", "surface keyword", "typed refusal"} <= counts.keys(), counts
 
 
+def _seeded_mutants(n: int):
+    """The ``n`` mutants that ``test_parse_matches_reference_on_mutations``
+    draws, in its order."""
+    rng = random.Random(15)
+    bases = CORPUS_BLOCKS + [text for text in _suite_texts() if _tokenizes(text)] + [
+        b for text in _workload_texts() for b in _blocks(text) if b.count("\n") <= 40
+    ]
+    for _ in range(n):
+        text = rng.choice(bases)
+        spans = _spans(text)
+        k = rng.randrange(len(spans))
+        op = rng.choice(MUTATIONS)
+        a, b = rng.choice(spans)
+        snippet = rng.choice(SNIPPETS + (text[a:b],))
+        yield _mutate(text, spans, k, op, snippet)
+
+
 @st.composite
 def corpus_mutants(draw):
     text = draw(st.sampled_from(CORPUS_BLOCKS))
@@ -930,3 +948,147 @@ def test_mutated_corpus_texts_parse_or_refuse_and_validate(text):
         return
     for d in doc.diagrams.values():
         assert isinstance(pdcode.validate(d), list)
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer as a character loop, as it stood before the lexer became
+# one regular expression, kept as the reference of the tests below.  Do not
+# edit.
+
+_PUNCT = "{}()[],;=$"
+Token, ParseError = dsl.Token, dsl.ParseError
+
+
+def char_tokenize(text: str) -> list[Token]:
+    out = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError("unterminated string", line, start_col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", line, start_col)
+            out.append(Token("string", text[i + 1:j], line, start_col))
+            j += 1
+        elif ch in _PUNCT:
+            out.append(Token("punct", ch, line, start_col))
+            j = i + 1
+        elif ch.isdecimal() or (ch in "+-" and text[i + 1:i + 2].isdecimal()):
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            out.append(Token("int", text[i:j], line, start_col))
+        elif ch in "+-":
+            out.append(Token("sign", ch, line, start_col))
+            j = i + 1
+        elif ch.isalnum() or ch in "_.":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_."):
+                j += 1
+            out.append(Token("name", text[i:j], line, start_col))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, start_col)
+        col += j - i
+        i = j
+    return out
+
+
+def _lexed(tokenize, text):
+    """The tokens of ``text`` field for field, or the refusal."""
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+    except dsl.ParseError as err:
+        return ("refused", str(err), err.line, err.col)
+
+
+def test_tokenize_matches_the_character_loop_on_every_source():
+    texts = _corpus_sources() + _workload_texts() + _suite_texts() + list(_seeded_mutants(4000))
+    outcomes = {"ok": 0, "refused": 0}
+    for text in texts:
+        expected = _lexed(char_tokenize, text)
+        assert _lexed(dsl.tokenize, text) == expected, text
+        outcomes["refused" if expected[:1] == ("refused",) else "ok"] += 1
+    assert outcomes["ok"] > 3000 and outcomes["refused"] > 0, outcomes
+
+
+# every character class the lexer tells apart: "\u0663" is an Arabic-Indic
+# 3 (decimal), "\xb2" a superscript 2 (alphanumeric but not decimal), and
+# "?", "\x0b" and "\xa0" start no token
+LEXICAL_ALPHABET = list(' \t\r\n#"\u0663\xb2_.+-?\x0b\xa0') + list("ab19{}()[],;=$")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+@given(st.text(st.sampled_from(LEXICAL_ALPHABET), max_size=40))
+def test_tokenize_matches_the_character_loop_on_random_text(text):
+    assert _lexed(dsl.tokenize, text) == _lexed(char_tokenize, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a parse fault, then a lexical fault later in the text
+    ('diagram d { component a kind=framed framing=0 } ?',
+     "line 1, column 49: unexpected character '?'"),
+    ('diagram d { component a kind=framed framing=0\n  component b kind=framed framing=0; } "open',
+     "line 2, column 40: unterminated string"),
+    # duplicate component ids parse, and the lexical fault is reported
+    ('diagram d { component a kind=framed framing=0; component a kind=framed framing=1; } ?',
+     "line 1, column 85: unexpected character '?'"),
+    # typed refusals, then a lexical fault
+    ('diagram d { component a kind=framed halftwist=3; } ?',
+     "line 1, column 52: unexpected character '?'"),
+    ('diagram d { box B halftwists=1 strands=((k1,k2,+k3)); } "',
+     "line 1, column 57: unterminated string"),
+    ('diagram d { component a kind=framed framing=$t; }\n\xa0',
+     "line 2, column 1: unexpected character '\\xa0'"),
+    ('diagram d { component a kind=framed framing=0 edges=a1; }',
+     "line 1, column 13: edges must be a parenthesised list, got 'a1'"),
+    # the lookahead runs off the end: the fault is at the last token
+    ('diagram d { component m kind=dot through=(+a1',
+     "line 1, column 44: expected a value (at end of input)"),
+    ('diagram d { component a kind=framed framing=0 edges=(a1,',
+     "line 1, column 56: expected a value (at end of input)"),
+    ('script s on d { blowup + through',
+     "line 1, column 26: expected ';' (at end of input)"),
+    ('script s on d { blowup + through=',
+     "line 1, column 33: expected a value (at end of input)"),
+    ('diagram d { component a kind',
+     "line 1, column 25: expected = (at end of input)"),
+    ("diagram", "line 1, column 1: expected name (at end of input)"),
+])
+def test_a_lexical_fault_anywhere_is_reported_first(text, message):
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_holds_its_document_and_few_tokens():
+    """The parser reads tokens as it needs them: its peak memory is within
+    1.5 times the document it returns, where a token list of the whole
+    text came to about 5.8 times."""
+    text = bench_workloads().build("links", 1).text
+    tracemalloc.start()
+    try:
+        doc = dsl.parse(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.diagrams) > 1
+    assert peak <= 1.5 * retained, (peak, retained)

@@ -261,6 +261,24 @@ def test_fresh_names_take_the_first_free_index():
     assert used == {"s0", "s1", "s2", "s3"}
 
 
+def test_validate_derives_each_handedness_once(monkeypatch):
+    """The resolution hands its sign faults on, so ``validate`` reads the
+    handedness of each of the 801 crossings of expanded T(2,801) once."""
+    k = Component("K", FRAMED, 0, edges=("k1", "k2", "k3", "k4"))
+    box = TwistBox("T", 801, (BoxStrand("k1", "k2", 1), BoxStrand("k3", "k4", 1)))
+    d = pdcode.expand_twistboxes(Diagram("T", (k,), boxes=(box,)))
+    derived_sign = pdcode.derived_sign
+    calls = []
+
+    def counted(d, inc, x):
+        calls.append(x.id)
+        return derived_sign(d, inc, x)
+
+    monkeypatch.setattr(pdcode, "derived_sign", counted)
+    assert pdcode.validate(d) == []
+    assert len(d.crossings) == len(calls) == 801
+
+
 def test_validate_states_each_fault():
     h, c = hopf(), clasp()
     x1 = h.crossings[0]
