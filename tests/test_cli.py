@@ -168,6 +168,11 @@ def test_multiple_input_files_merge(tmp_path, capsys):
         capsys, ["run", str(a), str(b), "--script", "go", "--json"]
     )
     assert code == 0 and payload["ok"]
+    # a block in a later file replaces one of the same name
+    c = tmp_path / "c.kd"
+    c.write_text("diagram one { component k kind=framed framing=1; component j kind=framed framing=0; }\n")
+    code, payload = run_json(capsys, ["run", str(a), str(c), str(b), "--script", "go", "--json"])
+    assert code == 1 and not payload["ok"]
 
 
 def test_corpus_list_and_verify_subset(capsys):
@@ -229,3 +234,35 @@ def test_run_refuses_an_invalid_target_with_exit_2(tmp_path, capsys, diagram):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: diagram 'D' is invalid: ")
     assert captured.out == ""
+
+
+REPEATED_ASSERT = (
+    "diagram A { component a kind=framed framing=1; }\n"
+    'script s on A { assert boundary_h1="Z/7" boundary_h1="0"; }\n'
+)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("diagram A { component a kind=framed framing=1 framing=7; }\n",
+     "line 1, column 13: component key 'framing' given twice"),
+    ("diagram A { component a kind=framed framing=0; across x between=(a,zz); }\n"
+     "diagram A { component a kind=framed framing=0; }\n",
+     "line 2, column 1: diagram 'A' defined twice"),
+    (REPEATED_ASSERT, "line 2, column 17: assert key 'boundary_h1' given twice"),
+])
+def test_validate_refuses_a_repeated_key_or_block_with_exit_2(tmp_path, capsys, text, message):
+    p = tmp_path / "twice.kd"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {p}: {message}\n"
+    assert captured.out == ""
+
+
+def test_run_refuses_a_repeated_assert_key_with_exit_2(tmp_path, capsys):
+    p = tmp_path / "assert.kd"
+    p.write_text(REPEATED_ASSERT)
+    assert cli.main(["run", str(p), "--script", "s"]) == 2
+    captured = capsys.readouterr()
+    assert "replay succeeded" not in captured.out
+    assert captured.err == f"error: {p}: line 2, column 17: assert key 'boundary_h1' given twice\n"

@@ -289,6 +289,61 @@ def test_unknown_surface_keyword_is_reported_at_the_keyword():
     assert str(err.value) == "line 3, column 14: expected disk, sheet, or ribbon (found ';')"
 
 
+REPEATED_KEY = "diagram A {\n  component a kind=framed framing=1 framing=7;\n}\n"
+REPEATED_ASSERT = (
+    "diagram A { component a kind=framed framing=1; }\n"
+    'script s on A { assert boundary_h1="Z/7" boundary_h1="0"; }\n'
+)
+DUPLICATE_BLOCK = (
+    "diagram A { component a kind=framed framing=0; across x between=(a,zz); }\n"
+    "diagram A { component a kind=framed framing=0; }\n"
+)
+
+
+def test_a_key_given_twice_is_refused_at_its_keyword():
+    bad = {
+        REPEATED_KEY: "line 2, column 3: component key 'framing' given twice",
+        REPEATED_ASSERT: "line 2, column 17: assert key 'boundary_h1' given twice",
+        'surface s on "d" { sheet x on=a mult=+ on=b; }': (
+            "line 1, column 20: sheet key 'on' given twice"
+        ),
+        "script s on d {\n  blowup + sign=- through=(a1) sign=+;\n}": (
+            "line 2, column 3: blowup key 'sign' given twice"
+        ),
+        # an unknown key is named first, even when it repeats
+        "diagram d { box B halftwist=1 halftwist=2; }": (
+            "line 1, column 13: unknown box key 'halftwist'; expected one of halftwists, strands"
+        ),
+    }
+    for text, message in bad.items():
+        with pytest.raises(dsl.ParseError) as err:
+            dsl.parse(text)
+        assert str(err.value) == message
+    # the reference kept the last value, and so dropped the false check
+    assert reference_parse(REPEATED_KEY).diagrams["A"].components[0].framing == 7
+    assert reference_parse(REPEATED_ASSERT).scripts["s"].steps[0].args["boundary_h1"] == "0"
+
+
+def test_a_block_name_defined_twice_in_one_text_is_refused():
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(DUPLICATE_BLOCK)
+    assert str(err.value) == "line 2, column 1: diagram 'A' defined twice"
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse('script s on A { assert components=1; }\n\nscript "s" on B { }')
+    assert str(err.value) == "line 3, column 1: script 's' defined twice"
+    assert set(reference_parse(DUPLICATE_BLOCK).diagrams) == {"A"}
+    # the kinds of block name apart: a diagram, surface and script may share one
+    doc = dsl.parse(
+        "diagram A { component a kind=framed framing=0; }\n"
+        'surface A on A { disk d; }\nscript A on A { assert components=1; }\n'
+    )
+    assert (set(doc.diagrams), set(doc.surfaces), set(doc.scripts)) == ({"A"}, {"A"}, {"A"})
+    # across texts, the later block still wins
+    first, second = DUPLICATE_BLOCK.splitlines()
+    merged = dsl._merge([dsl.parse(first), dsl.parse(second)])
+    assert merged.diagrams["A"] == dsl.parse(second).diagrams["A"]
+
+
 def test_integers_are_decimal_digits():
     assert [(t.kind, t.value) for t in dsl.tokenize("+12 -3 45 x- +y 6\u00b2")] == [
         ("int", "+12"), ("int", "-3"), ("int", "45"), ("name", "x"), ("sign", "-"),
@@ -738,9 +793,12 @@ def _outcome(parse, text):
         return ("raised", type(err).__name__)
 
 
-# Refusals the rewrite added: list values that are not parenthesised lists
-# of names, unknown declaration keys, and an unknown surface keyword, which
-# is now reported at the keyword rather than at the ";" after it.
+# Refusals added since the reference: list values that are not parenthesised
+# lists of names, unknown declaration keys, an unknown surface keyword,
+# which is now reported at the keyword rather than at the ";" after it, a
+# key given twice in one declaration or step, where the reference kept the
+# last value, and a block name defined twice in one text, where the
+# reference kept the last block.
 _NEW_REFUSALS = {
     "list value": re.compile(
         r"(edges|between|strands) must be a parenthesised list, got "
@@ -749,6 +807,8 @@ _NEW_REFUSALS = {
     ),
     "unknown key": re.compile(r"unknown (component|box|cross|across|disk|sheet|ribbon) key "),
     "surface keyword": re.compile(r"expected disk, sheet, or ribbon \(found "),
+    "repeated key": re.compile(r"\w+ key '[\w.]+' given twice$"),
+    "duplicate block": re.compile(r"(diagram|surface|script) .+ defined twice$"),
 }
 
 
@@ -881,7 +941,7 @@ def test_parse_matches_reference_on_every_source():
     assert [text for text, kind in kinds.items() if kind == "unexplained"] == []
     assert set(kinds.values()) == {
         None, "list value", "unknown key", "surface keyword", "typed refusal",
-        "duplicate component id",
+        "duplicate component id", "repeated key", "duplicate block",
     }
 
 
@@ -909,7 +969,10 @@ def test_parse_matches_reference_on_mutations():
             unexplained.append(mutant)
     assert not unexplained, unexplained[:3]
     assert counts[None] > 3000, counts
-    assert {"list value", "unknown key", "surface keyword", "typed refusal"} <= counts.keys(), counts
+    assert {
+        "list value", "unknown key", "surface keyword", "typed refusal", "repeated key",
+        "duplicate block",
+    } <= counts.keys(), counts
 
 
 def _seeded_mutants(n: int):
@@ -1040,6 +1103,28 @@ LEXICAL_ALPHABET = list(' \t\r\n#"\u0663\xb2_.+-?\x0b\xa0') + list("ab19{}()[],;
 @given(st.text(st.sampled_from(LEXICAL_ALPHABET), max_size=40))
 def test_tokenize_matches_the_character_loop_on_random_text(text):
     assert _lexed(dsl.tokenize, text) == _lexed(char_tokenize, text)
+
+
+@pytest.mark.parametrize("text, lexed", [
+    # a string, a fault and an unterminated string after tabs and CRs
+    ('\t\r "s"\t\r"t"', [("string", "s", 1, 4), ("string", "t", 1, 9)]),
+    ("a\t\r?", ("refused", "line 1, column 4: unexpected character '?'", 1, 4)),
+    (' \t\r"open', ("refused", "line 1, column 4: unterminated string", 1, 4)),
+    # whitespace at the end of the text, with and without a token before it
+    ("a b \t\r ", [("name", "a", 1, 1), ("name", "b", 1, 3)]),
+    (" \t\r", []),
+    ("", []),
+    # CRLF line ends: the CR is whitespace before the newline
+    ("a\r\nb ;\r\n\r\n c\r\n", [
+        ("name", "a", 1, 1), ("name", "b", 2, 1), ("punct", ";", 2, 3), ("name", "c", 4, 2),
+    ]),
+    # a comment at the end of the text, with no newline after it
+    ("a # a comment", [("name", "a", 1, 1)]),
+    ("\t#", []),
+])
+def test_tokenize_matches_the_character_loop_on_edge_cases(text, lexed):
+    assert _lexed(char_tokenize, text) == lexed
+    assert _lexed(dsl.tokenize, text) == lexed
 
 
 @pytest.mark.parametrize("text, message", [
