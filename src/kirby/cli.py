@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 
 from . import corpus, dsl, grouppres, pdcode
 from . import handlebody as hb
@@ -38,8 +39,6 @@ class InputError(Exception):
 
 
 def _load(paths) -> dsl.Document:
-    if isinstance(paths, str):
-        paths = [paths]
     parts = []
     for path in paths:
         try:
@@ -53,16 +52,6 @@ def _load(paths) -> dsl.Document:
     return dsl._merge(parts)
 
 
-def _pick_diagrams(doc: dsl.Document, name: str | None):
-    if name is not None:
-        if name not in doc.diagrams:
-            raise InputError(f"no diagram named {name!r}")
-        return {name: doc.diagrams[name]}
-    if not doc.diagrams:
-        raise InputError("no diagrams in input")
-    return doc.diagrams
-
-
 def _emit(payload: dict, as_json: bool, lines):
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -71,19 +60,21 @@ def _emit(payload: dict, as_json: bool, lines):
             print(line)
 
 
-def cmd_validate(args) -> int:
-    doc = _load(args.file)
-    diagrams = _pick_diagrams(doc, args.diagram)
+def _each_diagram(args, read) -> int:
+    """Run ``read(name, d) -> (payload entry, text lines, failed)`` on every
+    picked diagram in name order; exit 1 if any failed."""
+    diagrams = _load(args.file).diagrams
+    if args.diagram is not None:
+        if args.diagram not in diagrams:
+            raise InputError(f"no diagram named {args.diagram!r}")
+        diagrams = {args.diagram: diagrams[args.diagram]}
+    elif not diagrams:
+        raise InputError("no diagrams in input")
     payload, lines, bad = {}, [], False
     for name, d in sorted(diagrams.items()):
-        problems = pdcode.validate(d)
-        payload[name] = list(problems)
-        if problems:
-            bad = True
-            lines.append(f"{name}: INVALID")
-            lines.extend(f"  - {p}" for p in problems)
-        else:
-            lines.append(f"{name}: ok")
+        payload[name], text, failed = read(name, d)
+        lines.extend(text)
+        bad = bad or failed
     _emit(payload, args.json, lines)
     return EXIT_FAIL if bad else EXIT_OK
 
@@ -95,67 +86,63 @@ def _valid_handlebody(name: str, d: pdcode.Diagram) -> Handlebody:
     return Handlebody(d)
 
 
-def cmd_invariants(args) -> int:
-    doc = _load(args.file)
-    diagrams = _pick_diagrams(doc, args.diagram)
-    payload, lines = {}, []
-    for name, d in sorted(diagrams.items()):
-        rep = hb.invariant_report(_valid_handlebody(name, d))
-        payload[name] = rep
-        lines.append(f"{name}:")
-        lines.append(f"  components:  {rep['components']}")
-        lines.append(f"  linking:     {rep['linking_matrix']}")
-        lines.append(f"  H1:          {rep['homology']['h1']}")
-        lines.append(f"  H2 rank:     {rep['homology']['h2_rank']}")
-        lines.append(f"  contractible:{rep['homology']['contractible']}")
-        lines.append(f"  boundary H1: {rep['boundary_h1']}")
-        lines.append(f"  pi1:         {rep['pi1']}")
-        lines.append(f"  form:        {rep['form']}")
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+def _validate(name, d):
+    problems = pdcode.validate(d)
+    if not problems:
+        return [], [f"{name}: ok"], False
+    return list(problems), [f"{name}: INVALID", *(f"  - {p}" for p in problems)], True
 
 
-def cmd_pi1(args) -> int:
-    doc = _load(args.file)
-    diagrams = _pick_diagrams(doc, args.diagram)
-    payload, lines = {}, []
-    for name, d in sorted(diagrams.items()):
-        g = hb.fundamental_group(_valid_handlebody(name, d))
-        simp = grouppres.tietze_simplify(g, default_budget())
-        payload[name] = {
-            "presentation": str(g),
-            "simplified": str(simp.presentation),
-            "abelianization": str(g.abelianization()),
-            "trivial": simp.presentation.is_obviously_trivial(),
-            "budget_exhausted": simp.budget_exhausted,
-        }
-        lines.append(f"{name}: {g}")
-        lines.append(f"  simplified:     {simp.presentation}")
-        lines.append(f"  abelianization: {g.abelianization()}")
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+def _invariants(name, d):
+    rep = hb.invariant_report(_valid_handlebody(name, d))
+    return rep, [
+        f"{name}:",
+        f"  components:  {rep['components']}",
+        f"  linking:     {rep['linking_matrix']}",
+        f"  H1:          {rep['homology']['h1']}",
+        f"  H2 rank:     {rep['homology']['h2_rank']}",
+        f"  contractible:{rep['homology']['contractible']}",
+        f"  boundary H1: {rep['boundary_h1']}",
+        f"  pi1:         {rep['pi1']}",
+        f"  form:        {rep['form']}",
+    ], False
 
 
-def cmd_form(args) -> int:
-    doc = _load(args.file)
-    diagrams = _pick_diagrams(doc, args.diagram)
-    payload, lines = {}, []
-    for name, d in sorted(diagrams.items()):
-        h = _valid_handlebody(name, d)
-        try:
-            form = hb.intersection_form(h)
-        except hb.HandlebodyError as exc:
-            payload[name] = {"error": str(exc)}
-            lines.append(f"{name}: undefined ({exc})")
-            continue
-        c = form.classify()
-        payload[name] = {"matrix": [list(r) for r in form.matrix], **asdict(c)}
-        lines.append(
-            f"{name}: rank {c.rank}, signature {c.signature}, "
-            f"{c.parity}, {c.definiteness}"
-        )
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+def _pi1(name, d):
+    g = hb.fundamental_group(_valid_handlebody(name, d))
+    simp = grouppres.tietze_simplify(g, default_budget())
+    ab = g.abelianization()
+    entry = {
+        "presentation": str(g),
+        "simplified": str(simp.presentation),
+        "abelianization": str(ab),
+        "trivial": simp.presentation.is_obviously_trivial(),
+        "budget_exhausted": simp.budget_exhausted,
+    }
+    return entry, [
+        f"{name}: {g}",
+        f"  simplified:     {simp.presentation}",
+        f"  abelianization: {ab}",
+    ], False
+
+
+def _form(name, d):
+    h = _valid_handlebody(name, d)
+    try:
+        form = hb.intersection_form(h)
+    except hb.HandlebodyError as exc:
+        return {"error": str(exc)}, [f"{name}: undefined ({exc})"], False
+    c = form.classify()
+    line = f"{name}: rank {c.rank}, signature {c.signature}, {c.parity}, {c.definiteness}"
+    return {"matrix": [list(r) for r in form.matrix], **asdict(c)}, [line], False
+
+
+_PER_DIAGRAM = (
+    ("validate", "check diagram well-formedness", _validate),
+    ("invariants", "print invariant reports", _invariants),
+    ("pi1", "fundamental group presentations", _pi1),
+    ("form", "intersection form classification", _form),
+)
 
 
 def cmd_run(args) -> int:
@@ -188,22 +175,20 @@ def cmd_corpus(args) -> int:
         ]
         _emit(payload, args.json, lines)
         return EXIT_OK
-    if args.action == "verify":
-        names = args.case or None
-        registry = corpus.cases()
-        if names:
-            unknown = [n for n in names if n not in registry]
-            if unknown:
-                raise InputError("unknown case(s): " + ", ".join(unknown))
-        rep = corpus.verify_corpus(names)
-        lines = []
-        for r in rep.results:
-            lines.append(f"{r.name}: {'ok' if r.ok else 'FAIL'}")
-            lines.extend(f"  {d}" for d in r.diffs)
-        lines.append("corpus " + ("verified" if rep.ok else "verification failed"))
-        _emit(rep.as_dict(), args.json, lines)
-        return EXIT_OK if rep.ok else EXIT_FAIL
-    raise InputError(f"unknown corpus action {args.action!r}")
+    names = args.case or None
+    registry = corpus.cases()
+    if names:
+        unknown = [n for n in names if n not in registry]
+        if unknown:
+            raise InputError("unknown case(s): " + ", ".join(unknown))
+    rep = corpus.verify_corpus(names)
+    lines = []
+    for r in rep.results:
+        lines.append(f"{r.name}: {'ok' if r.ok else 'FAIL'}")
+        lines.extend(f"  {d}" for d in r.diffs)
+    lines.append("corpus " + ("verified" if rep.ok else "verification failed"))
+    _emit(rep.as_dict(), args.json, lines)
+    return EXIT_OK if rep.ok else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,26 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def with_file(sp):
+    for name, help_text, read in _PER_DIAGRAM:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file", nargs="+", help="input document(s) (.kd/.ks)")
         sp.add_argument("--diagram", help="restrict to one diagram")
         sp.add_argument("--json", action="store_true", help="JSON output")
-
-    sp = sub.add_parser("validate", help="check diagram well-formedness")
-    with_file(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("invariants", help="print invariant reports")
-    with_file(sp)
-    sp.set_defaults(func=cmd_invariants)
-
-    sp = sub.add_parser("pi1", help="fundamental group presentations")
-    with_file(sp)
-    sp.set_defaults(func=cmd_pi1)
-
-    sp = sub.add_parser("form", help="intersection form classification")
-    with_file(sp)
-    sp.set_defaults(func=cmd_form)
+        sp.set_defaults(func=partial(_each_diagram, read=read))
 
     sp = sub.add_parser("run", help="replay a move script")
     sp.add_argument("file", nargs="+", help="input document(s) containing the script and its targets")
@@ -254,10 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (dsl.ParseError, ScriptError) as exc:
+    except (InputError, dsl.ParseError, ScriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

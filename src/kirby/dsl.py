@@ -500,6 +500,8 @@ class _Parser:
                     self.advance()  # the "="
                     if key in args:
                         raise ParseError(f"{kw[1]} key {key!r} given twice", *kw[2:])
+                    if key == "_args":  # where the positionals are kept
+                        raise ParseError(f"{kw[1]} key '_args' is reserved", *kw[2:])
                     args[key] = self.value({})
                     continue
                 p = self.value({})

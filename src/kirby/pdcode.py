@@ -1030,7 +1030,13 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
         else:
             involved = _between(x).count(cid)
         crossings.append(replace(x, sign=-x.sign) if involved == 1 else x)
-    return Diagram(d.name, tuple(comps), tuple(crossings), d.boxes)
+    boxes = tuple(
+        replace(b, strands=tuple(
+            replace(s, orient=-s.orient) if owner.get(s.left) == cid else s for s in b.strands
+        ))
+        for b in d.boxes
+    )
+    return Diagram(d.name, tuple(comps), tuple(crossings), boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,14 @@ class Engine:
     def _blowup(self, step: Step, sign=None) -> str:
         sign = _sign_of(step.args.get("sign") if sign is None else sign)
         through = step.args.get("through", ())
+        if isinstance(through, (tuple, list)):
+            # an item reads like a component's: a name, or (name, sign)
+            through = [
+                (p[0], _sign_of(p[1])) if isinstance(p, (tuple, list)) and len(p) == 2 else p
+                for p in through
+            ]
+        elif not isinstance(through, str):  # hb.blowup names a string itself
+            raise ScriptError(f"through {through!r} is not a list of edges")
         h = hb.blowup(self.state, sign, through)
         owner = self.state.diagram.edge_owner()
         for p in through:

@@ -75,6 +75,57 @@ def test_invariants_and_form(good_file, capsys):
     }
 
 
+DANGLING = (
+    "error: diagram 'dangling' is invalid: "
+    "crossing x: unknown edge 'e3'; crossing x: unknown edge 'e4'\n"
+)
+
+PINNED_TEXT = {
+    ("good", "validate"): (0, "pair: ok\n", ""),
+    ("good", "invariants"): (0, (
+        "pair:\n"
+        "  components:  2\n"
+        "  linking:     [[1, 0], [0, -1]]\n"
+        "  H1:          0\n"
+        "  H2 rank:     2\n"
+        "  contractible:False\n"
+        "  boundary H1: 0\n"
+        "  pi1:         < | >\n"
+        "  form:        {'matrix': [[1, 0], [0, -1]], 'rank': 2, 'signature': 0, 'parity': 'odd'}\n"
+    ), ""),
+    ("good", "pi1"): (0, "pair: < | >\n  simplified:     < | >\n  abelianization: 0\n", ""),
+    ("good", "form"): (0, "pair: rank 2, signature 0, odd, indefinite\n", ""),
+    ("invalid", "validate"): (1, (
+        "dangling: INVALID\n"
+        "  - crossing x: unknown edge 'e3'\n"
+        "  - crossing x: unknown edge 'e4'\n"
+    ), ""),
+    ("invalid", "invariants"): (2, "", DANGLING),
+    ("invalid", "pi1"): (2, "", DANGLING),
+    ("invalid", "form"): (2, "", DANGLING),
+    # both files: every diagram in name order, or nothing once one is invalid
+    ("both", "validate"): (1, (
+        "dangling: INVALID\n"
+        "  - crossing x: unknown edge 'e3'\n"
+        "  - crossing x: unknown edge 'e4'\n"
+        "pair: ok\n"
+    ), ""),
+    ("both", "invariants"): (2, "", DANGLING),
+    ("both", "pi1"): (2, "", DANGLING),
+    ("both", "form"): (2, "", DANGLING),
+}
+
+
+@pytest.mark.parametrize("inputs, command", sorted(PINNED_TEXT))
+def test_per_diagram_commands_print_pinned_text(tmp_path, capsys, inputs, command):
+    (tmp_path / "good.kd").write_text(GOOD)
+    (tmp_path / "invalid.kd").write_text(INVALID)
+    names = ["good", "invalid"] if inputs == "both" else [inputs]
+    code = cli.main([command, *(str(tmp_path / f"{n}.kd") for n in names)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == PINNED_TEXT[inputs, command]
+
+
 def test_pi1_output(good_file, capsys):
     code, payload = run_json(capsys, ["pi1", good_file, "--json"])
     assert code == 0
@@ -266,3 +317,15 @@ def test_run_refuses_a_repeated_assert_key_with_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "replay succeeded" not in captured.out
     assert captured.err == f"error: {p}: line 2, column 17: assert key 'boundary_h1' given twice\n"
+
+
+def test_run_refuses_a_step_key_named_like_the_positionals_with_exit_2(tmp_path, capsys):
+    p = tmp_path / "args.kd"
+    p.write_text(
+        "diagram A { component a kind=framed framing=0 edges=(a1,a2); }\n"
+        "script s on A { slide a b _args=(c, d); }\n"
+    )
+    assert cli.main(["run", str(p), "--script", "s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: line 2, column 17: slide key '_args' is reserved\n"

@@ -324,6 +324,17 @@ def test_a_key_given_twice_is_refused_at_its_keyword():
     assert reference_parse(REPEATED_ASSERT).scripts["s"].steps[0].args["boundary_h1"] == "0"
 
 
+def test_a_step_key_named_like_the_positionals_is_refused_at_its_keyword():
+    for text in (
+        "script s on d {\n  blowup _args=(+a1, -a2) sign=-;\n}",
+        "script s on d {\n  slide a b _args=(c, d);\n}",
+    ):
+        op = text.split()[5]
+        with pytest.raises(dsl.ParseError) as err:
+            dsl.parse(text)
+        assert str(err.value) == f"line 2, column 3: {op} key '_args' is reserved"
+
+
 def test_a_block_name_defined_twice_in_one_text_is_refused():
     with pytest.raises(dsl.ParseError) as err:
         dsl.parse(DUPLICATE_BLOCK)
@@ -797,8 +808,9 @@ def _outcome(parse, text):
 # lists of names, unknown declaration keys, an unknown surface keyword,
 # which is now reported at the keyword rather than at the ";" after it, a
 # key given twice in one declaration or step, where the reference kept the
-# last value, and a block name defined twice in one text, where the
-# reference kept the last block.
+# last value, a step key named ``_args``, which the reference let overwrite
+# the step's positionals, and a block name defined twice in one text, where
+# the reference kept the last block.
 _NEW_REFUSALS = {
     "list value": re.compile(
         r"(edges|between|strands) must be a parenthesised list, got "
@@ -808,6 +820,7 @@ _NEW_REFUSALS = {
     "unknown key": re.compile(r"unknown (component|box|cross|across|disk|sheet|ribbon) key "),
     "surface keyword": re.compile(r"expected disk, sheet, or ribbon \(found "),
     "repeated key": re.compile(r"\w+ key '[\w.]+' given twice$"),
+    "reserved key": re.compile(r"\w+ key '_args' is reserved$"),
     "duplicate block": re.compile(r"(diagram|surface|script) .+ defined twice$"),
 }
 
@@ -941,7 +954,7 @@ def test_parse_matches_reference_on_every_source():
     assert [text for text, kind in kinds.items() if kind == "unexplained"] == []
     assert set(kinds.values()) == {
         None, "list value", "unknown key", "surface keyword", "typed refusal",
-        "duplicate component id", "repeated key", "duplicate block",
+        "duplicate component id", "repeated key", "reserved key", "duplicate block",
     }
 
 

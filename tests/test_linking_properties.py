@@ -471,3 +471,17 @@ def test_mirror_is_a_valid_involution_negating_linking(d):
     assert pdcode.mirror(m) == d
     assert pdcode.validate(m) == []
     assert pdcode.linking_matrix(m) == [[-v for v in row] for row in pdcode.linking_matrix(d)]
+
+
+@SEEDED
+@given(st.one_of(diagrams(), st.sampled_from(mirror_subjects())).filter(lambda d: d.components), st.data())
+def test_reversing_a_component_is_an_involution_negating_its_linking(d, data):
+    ids = [c.id for c in d.components]
+    k = data.draw(st.integers(0, len(ids) - 1))
+    r = pdcode.reverse_orientation(d, ids[k])
+    assert pdcode.reverse_orientation(r, ids[k]) == d
+    assert (pdcode.validate(r) == []) == (pdcode.validate(d) == [])
+    q = pdcode.linking_matrix(d)
+    assert pdcode.linking_matrix(r) == [
+        [v if (i == k) == (j == k) else -v for j, v in enumerate(row)] for i, row in enumerate(q)
+    ]

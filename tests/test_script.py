@@ -374,6 +374,20 @@ def test_steps_that_check_nothing_or_misread_are_refused(steps, detail):
     assert report.steps[-1].detail == f"step {steps.count(';') - 1}: {detail}"
 
 
+def test_blowup_through_items_read_like_a_components():
+    states = []
+    for through in ("(-a1, +a2)", "((a1, -), (a2, +))", "((a1, -1), (a2, 1))"):
+        doc = dsl.parse(UNKNOT + f"script s on U {{ blowup + through={through}; }}")
+        engine = script.Engine(Handlebody(doc.diagrams["U"]))
+        engine.run_step(doc.scripts["s"].steps[0])
+        states.append(engine.state.diagram)
+    assert states[0] == states[1] == states[2]
+    for through, detail in (("((a1, x))", "bad sign 'x'"), ("3", "through 3 is not a list of edges")):
+        report = run_text(UNKNOT + f"script s on U {{ blowup + through={through}; }}")
+        assert not report.ok
+        assert report.steps[-1].detail == f"step 0: {detail}"
+
+
 def test_well_formed_steps_still_replay():
     steps = ("assert components=1 boundary_h1=Z; reidemeister R1 site=(insert, a2, 1); "
              "reidemeister R1 site=(insert, a2, +); "
