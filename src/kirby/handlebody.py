@@ -317,6 +317,8 @@ def blowup(h: Handlebody, sign: int, through=()) -> Handlebody:
         raise HandlebodyError("blowup sign must be +-1")
     if isinstance(through, str):
         raise HandlebodyError(f"through {through!r} is a string, not a list of edges")
+    if not isinstance(through, (tuple, list)):
+        raise HandlebodyError(f"through {through!r} is not a list of edges")
     through = [(p, 1) if isinstance(p, str) else p for p in through]
     for p in through:
         if not (isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], str)):

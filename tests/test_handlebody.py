@@ -647,6 +647,10 @@ SURFACE = SurfacePresentation("s", Handlebody(Diagram()), minima=(Disk("d0"), Di
      "through entry 7"),
     (lambda: handlebody.blowup(hopf_handlebody(), 1, [("a1",)]), handlebody.HandlebodyError,
      "through entry"),
+    (lambda: handlebody.blowup(hopf_handlebody(), 1, 3), handlebody.HandlebodyError,
+     "through 3 is not a list of edges"),
+    (lambda: handlebody.blowup(hopf_handlebody(), 1, None), handlebody.HandlebodyError,
+     "through None is not a list of edges"),
     *[(read, pdcode.DiagramError, "crossing y: abstract crossing needs two components") for read in (
         lambda: pdcode.linking_matrix(PAIRLESS),
         lambda: handlebody.invariant_report(Handlebody(PAIRLESS)),
@@ -662,6 +666,7 @@ SURFACE = SurfacePresentation("s", Handlebody(Diagram()), minima=(Disk("d0"), Di
     "is_connected-box", "is_connected-pass", "homology-pass", "blowdown-pass",
     "reverse_orientation-crossing", "is_connected_surface-ribbon",
     "is_connected_surface-cap", "blowup-bare-int", "blowup-short-tuple",
+    "blowup-int-through", "blowup-none-through",
     "linking_matrix-pairless", "invariant_report-pairless", "is_connected-pairless",
     "slide-pairless", "reverse_orientation-pairless", "linking_matrix-triple",
     "blowdown-pairless",

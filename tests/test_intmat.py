@@ -1,5 +1,6 @@
 """Exact integer linear algebra, checked against sympy and the earlier code."""
 
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from kirby import dsl, forms, handlebody, intmat, pdcode
@@ -38,6 +39,24 @@ def random_linking_matrix(n, rng):
 def sympy_divisors(a):
     d = sympy_snf(sympy.Matrix(a))
     return [abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
+
+
+def reference_divisors(a):
+    """``intmat._divisors`` as of commit 661f681, before the unit pivots: the
+    rank r and a nonzero r x r minor M of the whole matrix by Bareiss, then
+    the extended-gcd elimination mod M, the (gcd, lcm) pass and the first r
+    factors."""
+    m, n = intmat.dims(a)
+    r, minor = intmat._rank_minor(a)
+    mod = abs(minor)
+    d = intmat.copy(a)
+    t = intmat._eliminate(d, m, n, mod)
+    out = [math.gcd(d[i][i], mod) for i in range(t)] + [mod] * (m - t)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if out[j] % out[i]:
+                out[i], out[j] = math.gcd(out[i], out[j]), math.lcm(out[i], out[j])
+    return out[:r]
 
 
 def test_smith_form_transforms_and_divisors(rng):
@@ -387,6 +406,79 @@ def test_divisors_match_smith_form(a):
     g = intmat.cokernel(a)
     assert g.rank == len(a) - len(divisors)
     assert list(g.torsion) == [x for x in divisors if x > 1]
+
+
+@st.composite
+def divisor_subjects(draw):
+    """Up to 9x9, of four kinds: dense with entries in [-4, 4]; every entry
+    a multiple of 2, 3 or 6, so no unit anywhere; a product of rank at most
+    k; and a block of +-1 entries beside an even block, with small entries
+    above the even block."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("dense", "multiples", "low rank", "unit block")))
+
+    def entries(rows, cols, values):
+        return [[draw(values) for _ in range(cols)] for _ in range(rows)]
+
+    if kind == "dense":
+        return entries(m, n, st.integers(-4, 4))
+    if kind == "multiples":
+        f = draw(st.sampled_from((2, 3, 6)))
+        return [[f * x for x in row] for row in entries(m, n, st.integers(-3, 3))]
+    if kind == "low rank":
+        k = draw(st.integers(0, min(m, n)))
+        return intmat.matmul(entries(m, k, st.integers(-2, 2)), entries(k, n, st.integers(-2, 2)))
+    k = draw(st.integers(1, min(m, n)))
+    units = entries(k, k, st.sampled_from((1, -1)))
+    above = entries(k, n - k, st.integers(-2, 2))
+    even = [[2 * x for x in row] for row in entries(m - k, n - k, st.integers(-3, 3))]
+    return [u + v for u, v in zip(units, above)] + [[0] * k + row for row in even]
+
+
+@SEEDED
+@given(divisor_subjects())
+@example([[2, 3, 5], [3, 5, 8], [5, 8, 13]])  # rank 2, no unit, a minor 1: all residues 0
+def test_unit_pivot_divisors_match_the_reference_and_the_smith_form(a):
+    assert intmat._divisors(a) == reference_divisors(a) == intmat.smith_normal_form(a).divisors
+
+
+def test_corpus_matrices_need_no_minor_and_no_elimination(monkeypatch):
+    from kirby import corpus
+
+    seen, cokernel = [], intmat.cokernel
+
+    def recorded(a, ambient_rank=None):
+        seen.append(intmat.copy(a))
+        return cokernel(a, ambient_rank)
+
+    monkeypatch.setattr(intmat, "cokernel", recorded)
+    assert corpus.verify_corpus().ok
+    monkeypatch.setattr(intmat, "cokernel", cokernel)
+    calls = []
+    for name in ("_rank_minor", "_eliminate"):
+
+        def counted(*args, name=name, f=getattr(intmat, name)):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(intmat, name, counted)
+    assert len(seen) > 100
+    for a in seen:
+        intmat.cokernel(a)
+    assert calls == []
+    # no entry of [[2, 4], [4, 2]] is a unit, over Z or mod its determinant 12
+    assert str(intmat.cokernel([[2, 4], [4, 2]])) == "Z/2 + Z/6"
+    assert calls == ["_rank_minor", "_eliminate"]
+
+
+@pytest.mark.parametrize("a", [
+    [[1, 2], [3]], [[], [1]], [[1], [2, 3]], [[1.5]], [[2.0]], [[True]], [[1, False]],
+    [[Fraction(1)]], [["1"]],
+], ids=["short-row", "empty-first-row", "long-row", "float", "integral-float", "true",
+        "false", "fraction", "string"])
+def test_cokernel_refuses_a_ragged_or_non_int_matrix(a):
+    with pytest.raises(ValueError):
+        intmat.cokernel(a)
 
 
 @SEEDED
