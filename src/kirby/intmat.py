@@ -78,6 +78,16 @@ def pairing(q, u, v) -> int:
     return dot(u, matvec(q, v))
 
 
+def _int_rows(a) -> None:
+    """ValueError unless every row of ``a`` has as many entries as the
+    first, each an int (``True`` is not one).  Every entry point that reads
+    the entries checks them here, once, before anything else."""
+    n = len(a[0]) if a else 0
+    for row in a:
+        if len(row) != n or not {int}.issuperset(map(type, row)):
+            raise ValueError(f"row {list(row)!r}: expected {n} entries, each an int")
+
+
 def is_symmetric(a) -> bool:
     m, n = dims(a)
     return m == n and all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
@@ -196,7 +206,9 @@ def smith_normal_form(a) -> SmithForm:
 
     After the elimination, negative pivots are negated and (a, b) ->
     (gcd, lcm) on the diagonal makes each divisor divide the next.
+    Raises ValueError on a ragged matrix or an entry that is not an int.
     """
+    _int_rows(a)
     m, n = dims(a)
     # d carries u to its right and v below it, so a row step acts on d and
     # u at once and a column step (always on the first n columns) on d and v.
@@ -305,13 +317,8 @@ def _divisors(a) -> list[int]:
 
     Raises ValueError on a ragged matrix or an entry that is not an int.
     """
-    n = len(a[0]) if a else 0
-    b = []
-    for row in a:
-        row = list(row)
-        if len(row) != n or not {int}.issuperset(map(type, row)):
-            raise ValueError(f"row {row!r}: expected {n} entries, each an int")
-        b.append(row)
+    _int_rows(a)
+    b = copy(a)
     ones = _unit_pivots(b, 0)
     if not any(map(any, b)):
         return [1] * ones
@@ -365,9 +372,11 @@ def cokernel(a, ambient_rank: int | None = None) -> AbelianGroup:
 
 
 def kernel_basis(a) -> list[list[int]]:
-    """Integer basis of the null space of ``a`` (vectors as columns of v)."""
+    """Integer basis of the null space of ``a`` (vectors as columns of v).
+    Raises ValueError on a ragged matrix or an entry that is not an int."""
     m, n = dims(a)
     if n == 0:
+        _int_rows(a)
         return []
     if m == 0:
         return [row[:] for row in identity(n)]
@@ -378,10 +387,12 @@ def kernel_basis(a) -> list[list[int]]:
 
 
 def rank(a) -> int:
+    _int_rows(a)
     return _rank_minor(a)[0]
 
 
 def det(a) -> int:
+    _int_rows(a)
     m, n = dims(a)
     if m != n:
         raise ValueError("determinant of non-square matrix")
@@ -390,11 +401,13 @@ def det(a) -> int:
 
 
 def solve(a, b) -> list[int] | None:
-    """An integer solution x of a x = b, or None if none exists."""
+    """An integer solution x of a x = b, or None if none exists.  Raises
+    ValueError on a ragged matrix or an entry that is not an int."""
     m, n = dims(a)
     if len(b) != m:
         raise ValueError("dimension mismatch")
     if n == 0:
+        _int_rows(a)
         return [] if all(x == 0 for x in b) else None
     sf = smith_normal_form(a)
     bp = matvec(sf.u, list(b))
@@ -426,8 +439,10 @@ def inertia(q) -> tuple[int, int, int]:
     minors of a congruent matrix, so the k-th LDL^T pivot has the sign of
     pivot_k * pivot_{k-1} (Sylvester's law of inertia).  When the diagonal
     is all zero, the congruence row/col i += row/col j on the first nonzero
-    a_ij makes a_ii = 2 a_ij.
+    a_ij makes a_ii = 2 a_ij.  Raises ValueError on a ragged matrix or an
+    entry that is not an int.
     """
+    _int_rows(q)
     if not is_symmetric(q):
         raise ValueError("matrix is not symmetric")
     u = [list(row[i:]) for i, row in enumerate(q)]

@@ -39,6 +39,8 @@ all write through it.  ``_pieces`` is the one search
 for the connected pieces of a planar map, a handlebody or a surface, and
 ``_recut`` the one edit of a component cycle: edge splits, fusing, box
 expansion and the Reidemeister moves all rewrite cycles through it.
+Next to it, ``_reslot`` is the one rewrite of vertex slots: edge splits
+and R3 both rebuild their crossings and boxes through it.
 ``_planar`` builds the one planar reading of a diagram state, a ``_Planar``
 record: one ``_collect_pairings`` reading of the slots finds every weld, one
 ``_fuse`` joins them all, and the record holds the fused diagram, its slots
@@ -317,7 +319,7 @@ def _collect_pairings(d: Diagram) -> _Slots:
     for x in d.crossings:
         if not x.is_geometric:
             continue
-        rotation[x.id] = list(x.edges)
+        rotation[x.id] = list(_four_edges(x))
         for e in x.edges:
             uses[e] = uses.get(e, 0) + 1
         for strand, (a, b) in enumerate(x.strand_pairs()):
@@ -627,17 +629,30 @@ def _between(x: Crossing) -> tuple[str, str]:
     return pair
 
 
+def _four_edges(x: Crossing) -> tuple[str, str, str, str]:
+    """The edges of geometric crossing x; DiagramError unless ``edges`` is
+    a tuple of four."""
+    edges = x.edges
+    if type(edges) is not tuple or len(edges) != 4:
+        raise DiagramError(f"crossing {x.id}: geometric crossing needs four edges")
+    return edges
+
+
 def _record_faults(d: Diagram) -> list[str]:
-    """The record fields of d that have the wrong type: an edge name that is
-    not a string, an ``over`` that is not the int 0 or 1, and a
-    ``halftwists`` that is not an int (``True`` is not an int here)."""
+    """The record fields of d that have the wrong type: geometric crossing
+    edges that are not a tuple of four, an edge name that is not a string,
+    an ``over`` that is not the int 0 or 1, and a ``halftwists`` that is
+    not an int (``True`` is not an int here)."""
     out = []
     names = [
         (f"component {c.id}", c.edges + tuple(p.edge for p in c.through)) for c in d.components
     ]
     for x in d.crossings:
         if x.edges is not None:
-            names.append((f"crossing {x.id}", x.edges))
+            try:
+                names.append((f"crossing {x.id}", _four_edges(x)))
+            except DiagramError as err:
+                out.append(str(err))
             if type(x.over) is not int or x.over not in (0, 1):
                 out.append(f"crossing {x.id}: over must be 0 or 1, got {x.over!r}")
     for b in d.boxes:
@@ -807,9 +822,11 @@ def _crossing_totals(d: Diagram) -> dict[tuple[str, str], int]:
     twist, and a through-pass counts as the two crossings of its strand with
     the round component.  Every pair that meets at some record has a key,
     even when its total is 0.  A name this pass reads that the diagram
-    lacks raises DiagramError: the first two edges of a geometric crossing,
-    the pair of an abstract one, either edge of a box strand, or the edge
-    of a pass; so does an abstract ``between`` that is not a tuple of two."""
+    lacks raises DiagramError: the first, in slot order, of the four edges
+    of a geometric crossing, the pair of an abstract one, either edge of a
+    box strand, or the edge of a pass; so do geometric ``edges`` that are
+    not a tuple of four and an abstract ``between`` that is not a tuple of
+    two."""
     owner = d.edge_owner()
     ids = {c.id for c in d.components}
     totals: dict[tuple[str, str], int] = {}
@@ -819,7 +836,7 @@ def _crossing_totals(d: Diagram) -> dict[tuple[str, str], int]:
         edges = x.edges
         if edges is not None:  # geometric
             try:
-                a, b = owner[edges[0]], owner[edges[1]]
+                a, b, _, _ = [owner[e] for e in _four_edges(x)]
             except KeyError as err:
                 raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
             v = x.sign
@@ -1023,7 +1040,7 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
     for x in d.crossings:
         if x.is_geometric:
             try:
-                ca, cb = owner[x.edges[0]], owner[x.edges[1]]
+                ca, cb, _, _ = [owner[e] for e in _four_edges(x)]
             except KeyError as err:
                 raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
             involved = (ca == cid) + (cb == cid)
@@ -1172,21 +1189,27 @@ def _split_edges(d: Diagram, inc: Incidence, splits: dict[str, list[str]]) -> Di
         head = inc.ends.get(e, (None, None))[1]
         if head is not None:
             heads.setdefault(head[0], {})[head[1]] = pieces[-1]
+    return _reslot(d, heads, _recut(d, splits))
+
+
+def _reslot(d: Diagram, slots: dict[str, dict[int, str]], components) -> Diagram:
+    """d with the component cycles ``components`` and, for each crossing or
+    box v of ``slots``, its vertex slot i holding ``slots[v][i]``."""
     crossings = tuple(
-        replace(x, edges=tuple(heads[x.id].get(i, e) for i, e in enumerate(x.edges)))
-        if x.id in heads else x
+        replace(x, edges=tuple(slots[x.id].get(i, e) for i, e in enumerate(x.edges)))
+        if x.id in slots else x
         for x in d.crossings
     )
     boxes = []
     for b in d.boxes:
-        if b.id in heads:
+        if b.id in slots:
             layout, strands = _box_layout(b), list(b.strands)
-            for slot, new in heads[b.id].items():
+            for slot, new in slots[b.id].items():
                 row, side = layout[slot]
                 strands[row] = replace(strands[row], **{side: new})
             b = replace(b, strands=tuple(strands))
         boxes.append(b)
-    return Diagram(d.name, _recut(d, splits), crossings, tuple(boxes))
+    return Diagram(d.name, components, crossings, tuple(boxes))
 
 
 def _geometric(d: Diagram, *xids: str) -> list[Crossing]:
@@ -1350,7 +1373,16 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
     """Slide the strand passing crossings xid1 and xid2 across the crossing
     xid3 of the other two strands.  The three crossings must bound a
     triangular face, and the moving strand must be over (or under) at both
-    of its crossings."""
+    of its crossings.
+
+    With x, y, z the three crossings and a, b, c the triangle's sides from
+    x to y, x to z and y to z, the move is one swap rule applied to the
+    strands (x, z) through b, (y, z) through c and then (x, y) through a,
+    so that a's entries win at x and y: each of a strand's two crossings
+    takes the other's outer edge of the strand into the side's slot, and
+    the side into its own outer slot.  b and c take fresh names, a keeps
+    its own.
+    """
     p = _planar(d)
     d, inc = p.diagram, p.inc
     x, y, z = _geometric(d, xid1, xid2, xid3)
@@ -1394,44 +1426,11 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
                 return s + 2, s
         raise AssertionError
 
-    bx_t, bx_near = pair_slots(x, b_t)
-    bz_t, bz_far = pair_slots(z, b_t)
-    cy_t, cy_near = pair_slots(y, c_t)
-    cz_t, cz_far = pair_slots(z, c_t)
-    if bz_t % 2 == cz_t % 2:
+    if pair_slots(z, b_t)[0] % 2 == pair_slots(z, c_t)[0] % 2:
         raise MoveError("triangle sides meet z on a single strand")
-    b_near = x.edges[bx_near]
-    b_far = z.edges[bz_far]
-    c_near = y.edges[cy_near]
-    c_far = z.edges[cz_far]
-
-    # the moving strand's two crossings swap order along it
-    ax_t, ax_mate = pair_slots(x, a_t)
-    ay_t, ay_mate = pair_slots(y, a_t)
-    a_tail_vid = inc.ends[a_t][0][0]
-    if a_tail_vid == x.id:
-        x_map = {ax_mate: a_t, ax_t: y.edges[ay_mate]}
-        y_map = {ay_t: x.edges[ax_mate], ay_mate: a_t}
-    elif a_tail_vid == y.id:
-        y_map = {ay_mate: a_t, ay_t: x.edges[ax_mate]}
-        x_map = {ax_t: y.edges[ay_mate], ax_mate: a_t}
-    else:
-        raise MoveError("moving strand does not run between its crossings")
-
-    def rewire(w: Crossing, slot_map: dict[int, str]) -> Crossing:
-        edges = tuple(
-            slot_map.get(i, e) for i, e in enumerate(w.edges)
-        )
-        return replace(w, edges=edges)
-
-    crossings = []
-    for w in d.crossings:
-        if w.id == x.id:
-            w = rewire(w, {bx_t: b_far, bx_near: nb, **x_map})
-        elif w.id == y.id:
-            w = rewire(w, {cy_t: c_far, cy_near: nc, **y_map})
-        elif w.id == z.id:
-            w = rewire(w, {bz_t: b_near, bz_far: nb, cz_t: c_near, cz_far: nc})
-        crossings.append(w)
-    comps = _recut(d, {b_t: (nb,), c_t: (nc,)})
-    return replace(d, components=comps, crossings=tuple(crossings))
+    slots: dict[str, dict[int, str]] = {w.id: {} for w in (x, y, z)}
+    for u, v, side, new in ((x, z, b_t, nb), (y, z, c_t, nc), (x, y, a_t, a_t)):
+        (u_side, u_out), (v_side, v_out) = pair_slots(u, side), pair_slots(v, side)
+        slots[u.id].update({u_side: v.edges[v_out], u_out: new})
+        slots[v.id].update({v_side: u.edges[u_out], v_out: new})
+    return _reslot(d, slots, _recut(d, {b_t: (nb,), c_t: (nc,)}))

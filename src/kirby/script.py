@@ -19,6 +19,7 @@ that is not an integer raises ``ScriptError``.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -145,35 +146,32 @@ def _shape(step: Step) -> list:
 
 
 def _greedy_reduce(d: pdcode.Diagram, budget: int) -> pdcode.Diagram:
-    """Remove Reidemeister 1 kinks and 2 bigons until none apply."""
+    """Remove Reidemeister 1 kinks and 2 bigons until none apply.
+
+    A pass tries every kink, then every pair of geometric crossings that
+    share two edges as a bigon, and applies the first legal try.  Each try
+    spends one step of ``budget``; a pass starts only while budget is
+    left, and may overrun it.
+    """
     spent = 0
     while spent < budget:
-        progressed = False
         geometric = [x for x in d.crossings if x.is_geometric]
-        for x in geometric:
+        tries = itertools.chain(
+            ((pdcode.r1_remove, x.id) for x in geometric),
+            (
+                (pdcode.r2_remove, x.id, y.id)
+                for x, y in itertools.combinations(geometric, 2)
+                if len(set(x.edges) & set(y.edges)) >= 2
+            ),
+        )
+        for move, *site in tries:
             spent += 1
             try:
-                d = pdcode.r1_remove(d, x.id)
-                progressed = True
-                break
+                d = move(d, *site)
             except pdcode.DiagramError:
                 continue
-        if progressed:
-            continue
-        for i, x in enumerate(geometric):
-            for y in geometric[i + 1 :]:
-                if len(set(x.edges) & set(y.edges)) < 2:
-                    continue
-                spent += 1
-                try:
-                    d = pdcode.r2_remove(d, x.id, y.id)
-                    progressed = True
-                    break
-                except pdcode.DiagramError:
-                    continue
-            if progressed:
-                break
-        if not progressed:
+            break
+        else:
             return d
     return d
 

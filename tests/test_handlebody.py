@@ -617,6 +617,8 @@ BOX = _stray(boxes=(TwistBox("B", 2, (BoxStrand("a1", "a2"), BoxStrand("b9", "b2
 PASS = _stray(passes=(Pass("a1", 1, 0), Pass("z1", 1, 0)))
 ABSTRACT = _stray(records=(Crossing("y", 1, between=("a", "q"), count=2),))
 PAIRLESS = _stray(records=(Crossing("y", 1),))
+THREE_EDGES = _stray(records=(Crossing("x", 1, edges=("a1", "a2", "a1")),))
+SLOT_2 = _stray(records=(Crossing("x", 1, edges=("a1", "b1", "zz", "b2")),))
 DOTTED_PASS = Diagram("stray", (
     Component("f", FRAMED, 0, edges=("f1",)),
     Component("m", DOTTED, through=(Pass("z1", 1, 0),)),
@@ -661,6 +663,18 @@ SURFACE = SurfacePresentation("s", Handlebody(Diagram()), minima=(Disk("d0"), Di
     )],
     (lambda: handlebody.blowdown(Handlebody(PAIRLESS), "u"), handlebody.HandlebodyError,
      "crossing y: abstract crossing needs two components"),
+    *[(read, pdcode.DiagramError, "crossing x: geometric crossing needs four edges") for read in (
+        lambda: pdcode.linking_matrix(THREE_EDGES),
+        lambda: pdcode.linking_matrix(_stray(records=(Crossing("x", 1, edges=()),))),
+        lambda: pdcode.linking_matrix(_stray(records=(Crossing("x", 1, edges=("a1",) * 5),))),
+        lambda: handlebody.is_connected(THREE_EDGES),
+        lambda: pdcode.reverse_orientation(THREE_EDGES, "a"),
+        lambda: pdcode.normalize(THREE_EDGES),
+    )],
+    *[(read, pdcode.DiagramError, "^crossing x: unknown edge 'zz'$") for read in (
+        lambda: pdcode.linking_matrix(SLOT_2),
+        lambda: pdcode.reverse_orientation(SLOT_2, "a"),
+    )],
 ], ids=[
     "linking_matrix-box", "linking_matrix-pass", "linking_matrix-abstract",
     "is_connected-box", "is_connected-pass", "homology-pass", "blowdown-pass",
@@ -670,6 +684,9 @@ SURFACE = SurfacePresentation("s", Handlebody(Diagram()), minima=(Disk("d0"), Di
     "linking_matrix-pairless", "invariant_report-pairless", "is_connected-pairless",
     "slide-pairless", "reverse_orientation-pairless", "linking_matrix-triple",
     "blowdown-pairless",
+    "linking_matrix-three-edges", "linking_matrix-no-edges", "linking_matrix-five-edges",
+    "is_connected-three-edges", "reverse_orientation-three-edges", "normalize-three-edges",
+    "linking_matrix-slot-2", "reverse_orientation-slot-2",
 ])
 def test_unknown_names_are_refused_with_typed_errors(read, error, match):
     with pytest.raises(error, match=match):

@@ -481,6 +481,20 @@ def test_cokernel_refuses_a_ragged_or_non_int_matrix(a):
         intmat.cokernel(a)
 
 
+@pytest.mark.parametrize("read", [
+    intmat.det, intmat.rank, intmat.smith_normal_form, intmat.kernel_basis,
+    lambda a: intmat.solve(a, [1] * len(a)), intmat.inertia, intmat.signature,
+], ids=["det", "rank", "smith_normal_form", "kernel_basis", "solve", "inertia", "signature"])
+@pytest.mark.parametrize("a", [
+    [[1, 2], [3]], [[1, 2], [2]], [[], [1]], [[2.0]], [[1.5]], [[True, 0], [0, 1]], [[1, False]],
+    [[Fraction(1)]],
+], ids=["ragged", "ragged-symmetric", "empty-first-row", "integral-float", "float", "true",
+        "false", "fraction"])
+def test_every_entry_point_refuses_a_ragged_or_non_int_matrix(read, a):
+    with pytest.raises(ValueError, match=r"^row \[.*\]: expected \d+ entries, each an int$"):
+        read(a)
+
+
 @SEEDED
 @given(integer_matrices(), st.data())
 def test_span_membership_by_cokernel_matches_solve(q, data):

@@ -377,6 +377,10 @@ def test_mistyped_records_are_refused_by_expansion_and_wirtinger():
         replace(h, crossings=(replace(h.crossings[0], over=2), h.crossings[1])),
         replace(c, boxes=(replace(c.boxes[0], halftwists="x"),)),
         Diagram("d", (Component("a", FRAMED, 0, edges=(1,)),)),
+        *[
+            replace(h, crossings=(replace(h.crossings[0], edges=edges), h.crossings[1]))
+            for edges in (("a1", "b1", "a2"), (), ("a1",) * 5, ["a1", "b1", "a2", "b2"])
+        ],
     ):
         (fault,) = pdcode.validate(d)
         with pytest.raises(pdcode.DiagramError, match=re.escape(fault)):
@@ -477,18 +481,26 @@ def test_counted_record_links_like_its_unit_records():
 def test_crossing_on_unknown_edge_is_a_diagram_error():
     from kirby import handlebody
 
-    d = Diagram(
-        "stray",
-        (Component("a", FRAMED, 0, edges=("e1", "e2")), Component("f", FRAMED, 0, edges=("f1",))),
-        (Crossing("x", 1, edges=("e9", "e2", "e3", "e4"), over=0),),
+    # every slot is looked up, the first unknown edge in slot order named
+    comps = (
+        Component("a", FRAMED, 0, edges=("e1", "e2")), Component("f", FRAMED, 0, edges=("f1",)),
     )
-    for read in (
-        lambda: pdcode.linking_matrix(d),
-        lambda: pdcode.linking_number(d, "a", "f"),
-        lambda: handlebody.boundary_H1(handlebody.Handlebody(d)),
+    for edges, stray in (
+        (("e9", "e2", "e3", "e4"), "e9"),
+        (("e1", "f1", "e9", "f1"), "e9"),
+        (("e1", "f1", "e2", "e8"), "e8"),
     ):
-        with pytest.raises(pdcode.DiagramError, match="crossing x: unknown edge 'e9'"):
-            read()
+        d = Diagram("stray", comps, (Crossing("x", 1, edges=edges, over=0),))
+        message = f"crossing x: unknown edge {stray!r}"
+        assert message in pdcode.validate(d)
+        for read in (
+            lambda: pdcode.linking_matrix(d),
+            lambda: pdcode.linking_number(d, "a", "f"),
+            lambda: handlebody.boundary_H1(handlebody.Handlebody(d)),
+            lambda: pdcode.reverse_orientation(d, "a"),
+        ):
+            with pytest.raises(pdcode.DiagramError, match=f"^{message}$"):
+                read()
 
 
 @pytest.mark.parametrize("halftwists", [0, 1, 3, -2])
@@ -1264,3 +1276,174 @@ def test_wirtinger_normalizes_once(monkeypatch):
     calls = counting(monkeypatch, "normalize")
     assert str(grouppres.wirtinger(torus_knot(5))).startswith("<")
     assert calls == {"normalize": 1}
+
+
+def r3_by_named_slots(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
+    """``pdcode.r3`` as of commit e7e43f4: the eight slots of the triangle
+    named one by one, each crossing rewired through its own slot map."""
+    p = pdcode._planar(d)
+    d, inc = p.diagram, p.inc
+    x, y, z = pdcode._geometric(d, xid1, xid2, xid3)
+
+    def joins(e: str) -> frozenset:
+        tail, head = inc.ends[e]
+        return frozenset((tail[0], head[0]))
+
+    site = None
+    for face in pdcode.trace_faces(inc):
+        if len(face) != 3:
+            continue
+        edges = [dart[0] for dart in face]
+        if len(set(edges)) != 3:
+            continue
+        lookup = {joins(e): e for e in edges}
+        try:
+            site = (
+                lookup[frozenset((x.id, y.id))],
+                lookup[frozenset((x.id, z.id))],
+                lookup[frozenset((y.id, z.id))],
+            )
+        except KeyError:
+            continue
+        break
+    if site is None:
+        raise pdcode.MoveError(f"crossings {xid1},{xid2},{xid3} bound no triangle")
+    a_t, b_t, c_t = site
+    if (a_t in x.over_pair()) != (a_t in y.over_pair()):
+        raise pdcode.MoveError("moving strand is not over (or under) both crossings")
+    pdcode._unthreaded(d, (b_t, c_t), "triangle edges pass")
+
+    nb, nc = d.fresh_edges(2)
+
+    def pair_slots(w: Crossing, e: str) -> tuple[int, int]:
+        for s in (0, 1):
+            if w.edges[s] == e:
+                return s, s + 2
+            if w.edges[s + 2] == e:
+                return s + 2, s
+        raise AssertionError
+
+    bx_t, bx_near = pair_slots(x, b_t)
+    bz_t, bz_far = pair_slots(z, b_t)
+    cy_t, cy_near = pair_slots(y, c_t)
+    cz_t, cz_far = pair_slots(z, c_t)
+    if bz_t % 2 == cz_t % 2:
+        raise pdcode.MoveError("triangle sides meet z on a single strand")
+    b_near = x.edges[bx_near]
+    b_far = z.edges[bz_far]
+    c_near = y.edges[cy_near]
+    c_far = z.edges[cz_far]
+
+    ax_t, ax_mate = pair_slots(x, a_t)
+    ay_t, ay_mate = pair_slots(y, a_t)
+    a_tail_vid = inc.ends[a_t][0][0]
+    if a_tail_vid == x.id:
+        x_map = {ax_mate: a_t, ax_t: y.edges[ay_mate]}
+        y_map = {ay_t: x.edges[ax_mate], ay_mate: a_t}
+    elif a_tail_vid == y.id:
+        y_map = {ay_mate: a_t, ay_t: x.edges[ax_mate]}
+        x_map = {ax_t: y.edges[ay_mate], ax_mate: a_t}
+    else:
+        raise pdcode.MoveError("moving strand does not run between its crossings")
+
+    def rewire(w: Crossing, slot_map: dict[int, str]) -> Crossing:
+        return replace(w, edges=tuple(slot_map.get(i, e) for i, e in enumerate(w.edges)))
+
+    crossings = []
+    for w in d.crossings:
+        if w.id == x.id:
+            w = rewire(w, {bx_t: b_far, bx_near: nb, **x_map})
+        elif w.id == y.id:
+            w = rewire(w, {cy_t: c_far, cy_near: nc, **y_map})
+        elif w.id == z.id:
+            w = rewire(w, {bz_t: b_near, bz_far: nb, cz_t: c_near, cz_far: nc})
+        crossings.append(w)
+    comps = pdcode._recut(d, {b_t: (nb,), c_t: (nc,)})
+    return replace(d, components=comps, crossings=tuple(crossings))
+
+
+def closed_boxes(k: int, halftwists) -> list[Diagram]:
+    """Expanded k-strand boxes, each strand closed into its own component,
+    in every orientation with the first strand running left to right
+    (reversing every strand gives the mirror-image sites again)."""
+    subjects = []
+    for t in halftwists:
+        for orients in itertools.product((1, -1), repeat=k - 1):
+            strands = tuple(BoxStrand(f"l{r}", f"r{r}", o) for r, o in enumerate((1, *orients)))
+            closed = tuple(
+                Component(f"c{r}", FRAMED, 0, edges=(s.left, s.right)[:: s.orient])
+                for r, s in enumerate(strands)
+            )
+            box = TwistBox("B", t, strands)
+            subjects.append(pdcode.expand_twistboxes(Diagram(f"box{k}.{t}", closed, boxes=(box,))))
+    return subjects
+
+
+def r3_subjects() -> list[Diagram]:
+    """The 3-strand closed boxes of -3..3 half twists, and the expanded
+    corpus diagrams that have boxes.  An odd twist links two closed strands
+    an odd number of times, so those boxes do not validate; r3 does not
+    validate its input, and they test it all the same."""
+    from kirby import corpus
+
+    subjects = closed_boxes(3, range(-3, 4))
+    for _, d in sorted(corpus.load_document().diagrams.items()):
+        if d.boxes:
+            subjects.append(pdcode.expand_twistboxes(d))
+    return subjects
+
+
+def r3_sites(subjects):
+    """Every ordered triple of distinct crossings of each subject."""
+    for d in subjects:
+        for site in itertools.permutations([x.id for x in d.crossings], 3):
+            yield d, site
+
+
+def test_r3_matches_the_named_slot_reference_on_every_triple():
+    moves = refused = 0
+    for d, site in r3_sites(r3_subjects()):
+        got = outcome(pdcode.r3, d, *site)
+        assert got == outcome(r3_by_named_slots, d, *site), (d.name, site)
+        if isinstance(got, Diagram):
+            moves += 1
+        else:
+            assert got[0] is pdcode.MoveError, (d.name, site, got)
+            refused += 1
+    assert moves >= 150 and refused >= 3000, (moves, refused)
+
+
+def named_like(d: Diagram, like: Diagram) -> Diagram:
+    """d with each edge renamed to the edge at its place in the component
+    cycles of ``like``, all at once."""
+    pairs = [
+        (e, f)
+        for c, k in zip(d.components, like.components, strict=True)
+        for e, f in zip(c.edges, k.edges, strict=True) if e != f
+    ]
+    for e, _ in pairs:
+        d = _rename_edge(d, e, e + "'")
+    for e, f in pairs:
+        d = _rename_edge(d, e + "'", f)
+    return d
+
+
+def test_r3_twice_at_the_same_crossings_gives_the_diagram_back():
+    # on valid subjects, 4-strand boxes among them; only triples in which
+    # every two crossings share an edge can bound a triangle
+    subjects = closed_boxes(4, (-2, 2)) + r3_subjects()
+    moves = 0
+    for d, site in r3_sites([d for d in subjects if not pdcode.validate(d)]):
+        edges = [set(d.crossing(xid).edges) for xid in site]
+        if not all(e & f for e, f in itertools.combinations(edges, 2)):
+            continue
+        try:
+            out = pdcode.r3(d, *site)
+        except pdcode.MoveError:
+            continue
+        moves += 1
+        assert pdcode.validate(out) == [], (d.name, site)
+        assert pdcode.linking_matrix(out) == pdcode.linking_matrix(d), (d.name, site)
+        back, dn = pdcode.r3(out, *site), pdcode.normalize(d)
+        assert named_like(back, dn) == dn, (d.name, site)
+    assert moves >= 300, moves

@@ -1,8 +1,11 @@
 """Move-script replay: verdicts, trust flags, and failure localization."""
 
+import itertools
+import random
+
 import pytest
 
-from kirby import dsl, handlebody, pdcode, script
+from kirby import corpus, dsl, handlebody, pdcode, script
 from kirby.handlebody import Handlebody
 from kirby.pdcode import Component, Diagram, FRAMED
 
@@ -170,6 +173,79 @@ def test_certified_isotopy_cancels_a_bigon():
     )
     assert loops.ok, loops.steps[-1].detail
     assert [s.detail for s in loops.steps] == ["applied R2", "isotoped to 'two' (certified)"]
+
+
+def greedy_by_two_loops(d: pdcode.Diagram, budget: int) -> pdcode.Diagram:
+    """``script._greedy_reduce`` as of commit e7e43f4: the kink tries and
+    the bigon tries of a pass as two loops, each with its own flag."""
+    spent = 0
+    while spent < budget:
+        progressed = False
+        geometric = [x for x in d.crossings if x.is_geometric]
+        for x in geometric:
+            spent += 1
+            try:
+                d = pdcode.r1_remove(d, x.id)
+                progressed = True
+                break
+            except pdcode.DiagramError:
+                continue
+        if progressed:
+            continue
+        for i, x in enumerate(geometric):
+            for y in geometric[i + 1 :]:
+                if len(set(x.edges) & set(y.edges)) < 2:
+                    continue
+                spent += 1
+                try:
+                    d = pdcode.r2_remove(d, x.id, y.id)
+                    progressed = True
+                    break
+                except pdcode.DiagramError:
+                    continue
+            if progressed:
+                break
+        if not progressed:
+            return d
+    return d
+
+
+def poked_corpus() -> list[Diagram]:
+    """Each expanded corpus diagram that validates and has edges, after one
+    to four seeded R1 or R2 insertions (an R2 site that is refused is
+    skipped)."""
+    rng = random.Random(11)
+    out = []
+    for _, d in sorted(corpus.load_document().diagrams.items()):
+        d = pdcode.expand_twistboxes(d)
+        if not d.edge_owner() or pdcode.validate(d):
+            continue
+        for inserts in range(1, 5):
+            poked = d
+            for _ in range(inserts):
+                edges = sorted(poked.edge_owner())
+                if rng.random() < 0.5:
+                    poked = pdcode.r1_insert(poked, rng.choice(edges), rng.choice((1, -1)))
+                    continue
+                try:
+                    poked = pdcode.r2_insert(poked, rng.choice(edges), rng.choice(edges))
+                except pdcode.MoveError:
+                    pass
+            out.append(poked)
+    return out
+
+
+def test_greedy_pass_matches_the_two_loop_reference():
+    # budgets below, at and above the tries one pass takes, so that passes
+    # stop early, overrun the budget and run to the end
+    subjects = poked_corpus()
+    budgets = (1, 2, 3, 5, 8, 50, 2000)
+    cut = 0  # the subjects whose result depends on the budget
+    for d in subjects:
+        got = [script._greedy_reduce(d, budget) for budget in budgets]
+        assert got == [greedy_by_two_loops(d, budget) for budget in budgets], d.name
+        cut += got[0] != got[-1]
+    assert len(subjects) >= 100 and cut >= 50, (len(subjects), cut)
 
 
 def test_certified_isotopy_rejects_different_encodings():
