@@ -663,13 +663,12 @@ def wirtinger(d) -> GroupPresentation:
 
     Needs a geometric diagram (boxes expanded, no abstract crossings).
     Round components must be split from everything else; each contributes
-    a free generator.  A record field of the wrong type, such as an
-    ``over`` other than 0 or 1, raises GroupError.
+    a free generator.  A structural fault of d, such as an ``over`` other
+    than 0 or 1 or a crossing on an edge that no component declares,
+    raises DiagramError naming the first that ``validate`` lists, as
+    ``expand_twistboxes`` does.
     """
-    faults = pdcode._record_faults(d)
-    if faults:
-        raise GroupError(faults[0])
-    p = pdcode._planar(pdcode.expand_twistboxes(d) if d.boxes else d)
+    p = pdcode._planar(pdcode.expand_twistboxes(d) if d.boxes else pdcode._sound(d))
     d = p.diagram
     for x in d.crossings:
         if not x.is_geometric:

@@ -40,7 +40,12 @@ for the connected pieces of a planar map, a handlebody or a surface, and
 ``_recut`` the one edit of a component cycle: edge splits, fusing, box
 expansion and the Reidemeister moves all rewrite cycles through it.
 Next to it, ``_reslot`` is the one rewrite of vertex slots: edge splits
-and R3 both rebuild their crossings and boxes through it.
+and R3 both rebuild their crossings and boxes through it.  ``_faults`` is
+the one structural check, the half of ``validate`` that needs no planar
+reading: ``_sound`` refuses a diagram through it for twist-box expansion,
+the Wirtinger presentation and orientation reversal.  ``_gate`` is the one
+check in front of the Reidemeister moves: each of the five refuses an
+invalid input through it, once its site checks have passed.
 ``_planar`` builds the one planar reading of a diagram state, a ``_Planar``
 record: one ``_collect_pairings`` reading of the slots finds every weld, one
 ``_fuse`` joins them all, and the record holds the fused diagram, its slots
@@ -501,6 +506,9 @@ def normalize(d: Diagram) -> Diagram:
     becomes one edge in one pass: the run keeps the least of its names, and
     its passes are renumbered along the cycle.  The result is the one that
     fusing a weld at a time gives, the least pair of names first.
+
+    It checks nothing and reads any diagram, even one that ``validate``
+    rejects: the moves fuse their intermediate states through it.
     """
     return _fuse(d, _welds(d, _collect_pairings(d).pairings))
 
@@ -638,11 +646,15 @@ def _four_edges(x: Crossing) -> tuple[str, str, str, str]:
     return edges
 
 
-def _record_faults(d: Diagram) -> list[str]:
-    """The record fields of d that have the wrong type: geometric crossing
-    edges that are not a tuple of four, an edge name that is not a string,
-    an ``over`` that is not the int 0 or 1, and a ``halftwists`` that is
-    not an int (``True`` is not an int here)."""
+def _faults(d: Diagram) -> list[str]:
+    """``validate``'s violations that need no planar reading.  The record
+    fields of the wrong type come first, and alone, since the checks after
+    them index by these fields: geometric crossing edges that are not a
+    tuple of four, an edge name that is not a string, an ``over`` that is
+    not the int 0 or 1, and a ``halftwists`` that is not an int (``True`` is
+    not an int here).  Then come the ids, kinds, framings, signs and counts
+    of the records, pass keys, and every edge or component name that the
+    diagram lacks."""
     out = []
     names = [
         (f"component {c.id}", c.edges + tuple(p.edge for p in c.through)) for c in d.components
@@ -665,21 +677,9 @@ def _record_faults(d: Diagram) -> list[str]:
         for e in edges
         if type(e) is not str
     ]
-    return out
-
-
-def validate(d: Diagram) -> list[str]:
-    """All diagram invariants; returns human-readable violations (empty for
-    a valid diagram)."""
-    return _checked(d)[0]
-
-
-def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
-    """``validate``'s violations, and the planar record its planar checks
-    read (None when a structural fault stops it first)."""
-    out = _record_faults(d)
     if out:
-        return out, None  # the checks below index by these fields
+        return out
+
     seen_ids: set[str] = set()
     for c in d.components:
         if c.id in seen_ids:
@@ -745,12 +745,33 @@ def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
             if p.seq in seqs.setdefault(p.edge, set()):
                 out.append(f"edge {p.edge}: duplicate pass sequence key {p.seq}")
             seqs[p.edge].add(p.seq)
+    return out
 
+
+def _sound(d: Diagram) -> Diagram:
+    """d when ``_faults`` finds nothing in it, else DiagramError naming the
+    first fault: the refusal of the readers that need sound records but no
+    planar reading."""
+    faults = _faults(d)
+    if faults:
+        raise DiagramError(faults[0])
+    return d
+
+
+def validate(d: Diagram) -> list[str]:
+    """All diagram invariants; returns human-readable violations (empty for
+    a valid diagram)."""
+    return _checked(d)[0]
+
+
+def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
+    """``validate``'s violations, and the planar record its planar checks
+    read (None when a structural fault stops it first)."""
+    out = _faults(d)
     if out:
         return out, None  # structural problems make the planar checks unreliable
 
     plan = _planar(d)
-    d = plan.diagram
     out = [
         f"edge {e}: appears {n} times at vertices (expected 2)"
         for e, n in plan.slots.uses.items() if n != 2
@@ -763,13 +784,20 @@ def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
     except DiagramError as err:
         return [str(err)], plan
 
-    for b in d.boxes:
-        for row, s in enumerate(b.strands):
-            if s.left == s.right:
+    # a box strand's direction is read from the step of d's own cycles
+    # through its edge pair when there is exactly one: fused, a two-edge
+    # cycle runs through a pair both ways and would confirm either direction
+    steps: dict[frozenset, list[str]] = {}
+    for c in d.components:
+        for e, f in zip(c.edges, c.edges[1:] + c.edges[:1]):
+            steps.setdefault(frozenset((e, f)), []).append(e)
+    for b, fused in zip(d.boxes, plan.diagram.boxes):
+        for row, (s, t) in enumerate(zip(b.strands, fused.strands)):
+            if t.left == t.right:
                 continue
-            into = inc.flow[(b.id, row)][0]
-            expected = s.left if s.orient == 1 else s.right
-            if into != expected:
+            ins = steps.get(frozenset((s.left, s.right)), ())
+            into, s = (ins[0], s) if len(ins) == 1 else (inc.flow[(b.id, row)][0], t)
+            if into != (s.left if s.orient == 1 else s.right):
                 out.append(
                     f"box {b.id} strand {row}: declared orientation "
                     "contradicts the component cycle"
@@ -826,7 +854,11 @@ def _crossing_totals(d: Diagram) -> dict[tuple[str, str], int]:
     of a geometric crossing, the pair of an abstract one, either edge of a
     box strand, or the edge of a pass; so do geometric ``edges`` that are
     not a tuple of four and an abstract ``between`` that is not a tuple of
-    two."""
+    two.
+
+    These lookups are its own, not a ``_faults`` pass: it is the hot read of
+    linking numbers and handlebody connectivity, and a structural pass on
+    every read would cost more than the walk itself."""
     owner = d.edge_owner()
     ids = {c.id for c in d.components}
     totals: dict[tuple[str, str], int] = {}
@@ -849,8 +881,11 @@ def _crossing_totals(d: Diagram) -> dict[tuple[str, str], int]:
         if a != b:
             key = (a, b) if a < b else (b, a)
             totals[key] = totals.get(key, 0) + v
-    _check_box_edges(d, owner)
     for box in d.boxes:
+        for s in box.strands:
+            for e in (s.left, s.right):
+                if e not in owner:
+                    raise DiagramError(f"box {box.id}: unknown edge {e!r}")
         for s1, s2 in itertools.combinations(box.strands, 2):
             a, b = owner[s1.left], owner[s2.left]
             if a != b:
@@ -870,15 +905,6 @@ def _crossing_totals(d: Diagram) -> dict[tuple[str, str], int]:
                     key = (a, b) if a < b else (b, a)
                     totals[key] = totals.get(key, 0) + 2 * p.sign
     return totals
-
-
-def _check_box_edges(d: Diagram, owner) -> None:
-    """DiagramError naming the first box strand edge missing from ``owner``."""
-    for box in d.boxes:
-        for s in box.strands:
-            for e in (s.left, s.right):
-                if e not in owner:
-                    raise DiagramError(f"box {box.id}: unknown edge {e!r}")
 
 
 def _pass_words(d: Diagram) -> dict[str, list[tuple[str, int]]]:
@@ -1018,9 +1044,11 @@ def mirror(d: Diagram) -> Diagram:
 
 
 def reverse_orientation(d: Diagram, cid: str) -> Diagram:
-    """Reverse one component; linking numbers with it change sign."""
-    c = d.component(cid)
-    owner = d.edge_owner()
+    """Reverse one component; linking numbers with it change sign.  An
+    unknown id, and a structural fault of d (the first that ``validate``
+    lists), raise DiagramError."""
+    d.component(cid)
+    owner = _sound(d).edge_owner()
     comps = []
     for comp in d.components:
         if comp.id == cid:
@@ -1039,13 +1067,9 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
     crossings = []
     for x in d.crossings:
         if x.is_geometric:
-            try:
-                ca, cb, _, _ = [owner[e] for e in _four_edges(x)]
-            except KeyError as err:
-                raise DiagramError(f"crossing {x.id}: unknown edge {err.args[0]!r}") from None
-            involved = (ca == cid) + (cb == cid)
+            involved = (owner[x.edges[0]] == cid) + (owner[x.edges[1]] == cid)
         else:
-            involved = _between(x).count(cid)
+            involved = x.between.count(cid)
         crossings.append(replace(x, sign=-x.sign) if involved == 1 else x)
     boxes = tuple(
         replace(b, strands=tuple(
@@ -1062,14 +1086,12 @@ def reverse_orientation(d: Diagram, cid: str) -> Diagram:
 
 def expand_twistboxes(d: Diagram) -> Diagram:
     """Replace every twist box by explicit crossings (a half-twist braid
-    block per half twist), preserving linking numbers and framings.  A box
-    strand on an edge that no component declares raises DiagramError, as
-    does a record field of the wrong type (``validate`` lists those)."""
-    faults = _record_faults(d)
-    if faults:
-        raise DiagramError(faults[0])
-    _check_box_edges(d, d.edge_owner())
-    out = normalize(d)
+    block per half twist), preserving linking numbers and framings.  A
+    structural fault of d, such as a box strand on an edge that no component
+    declares or a record field of the wrong type, raises DiagramError
+    naming the first that ``validate`` lists; the planar checks are left to
+    ``validate``."""
+    out = normalize(_sound(d))
     while out.boxes:
         out = _expand_one_box(out, out.boxes[0])
     return out
@@ -1212,6 +1234,16 @@ def _reslot(d: Diagram, slots: dict[str, dict[int, str]], components) -> Diagram
     return Diagram(d.name, components, crossings, tuple(boxes))
 
 
+def _gate(d: Diagram, move: str) -> _Planar:
+    """d's planar record when ``validate`` accepts d, else MoveError naming
+    ``move`` and the first violation.  Each Reidemeister move runs it after
+    those of its site checks that need no planar reading."""
+    problems, p = _checked(d)
+    if problems:
+        raise MoveError(f"{move} on an invalid diagram: {problems[0]}")
+    return p
+
+
 def _geometric(d: Diagram, *xids: str) -> list[Crossing]:
     """The crossings ``xids`` of a move site; MoveError if one is abstract."""
     xs = [d.crossing(xid) for xid in xids]
@@ -1246,8 +1278,11 @@ def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
     owner = d.edge_owner()
     if edge not in owner:
         raise MoveError(f"no edge {edge!r}")
+    p = _gate(d, "R1")
     g, f = d.fresh_edges(2)
-    d2 = _split_edges(d, resolve_incidence(d), {edge: [edge, g, f]})
+    # the kink goes on d itself, welds and all; without welds p read d
+    inc = p.inc if p.diagram is d else resolve_incidence(d)
+    d2 = _split_edges(d, inc, {edge: [edge, g, f]})
     x = Crossing(
         id=d.fresh_id("r1_"),
         sign=sign,
@@ -1274,6 +1309,7 @@ def r1_remove(d: Diagram, xid: str) -> Diagram:
     if g is None:
         raise MoveError(f"crossing {xid} is not a kink bounding a monogon")
     _unthreaded(d, (g,), f"kink loop {g} passes")
+    _gate(d, "R1")
     return _delete(d, (xid,), (g,))
 
 
@@ -1297,9 +1333,7 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
             raise MoveError(f"no edge {e!r}")
     if over_edge == under_edge:
         raise MoveError("R2 needs two distinct edges")
-    problems, p = _checked(d)
-    if problems:
-        raise MoveError(f"R2 on an invalid diagram: {problems[0]}")
+    p = _gate(d, "R2")
     dn, inc = p.diagram, p.inc
     if over_edge not in dn.edge_owner() or under_edge not in dn.edge_owner():
         raise MoveError("site edges vanish under normalization")
@@ -1345,7 +1379,7 @@ def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
         raise MoveError(f"crossings {xid1},{xid2} share {len(shared)} edges")
     if x1.sign + x2.sign != 0:
         raise MoveError("crossing signs do not cancel")
-    faces = trace_faces(_planar(d).inc)
+    faces = trace_faces(_gate(d, "R2").inc)
     bigons = {frozenset(dart[0] for dart in face) for face in faces if len(face) == 2}
 
     def is_site(em, fm):
@@ -1383,7 +1417,8 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
     the side into its own outer slot.  b and c take fresh names, a keeps
     its own.
     """
-    p = _planar(d)
+    _geometric(d, xid1, xid2, xid3)  # an abstract site is refused before the gate
+    p = _gate(d, "R3")
     d, inc = p.diagram, p.inc
     x, y, z = _geometric(d, xid1, xid2, xid3)
 

@@ -385,7 +385,7 @@ def test_mistyped_records_are_refused_by_expansion_and_wirtinger():
         (fault,) = pdcode.validate(d)
         with pytest.raises(pdcode.DiagramError, match=re.escape(fault)):
             pdcode.expand_twistboxes(d)
-        with pytest.raises(grouppres.GroupError, match=re.escape(fault)):
+        with pytest.raises(pdcode.DiagramError, match=re.escape(fault)):
             grouppres.wirtinger(d)
     # normalize reads a box of any halftwists: welds do not depend on it
     n = pdcode.normalize(c)
@@ -1382,8 +1382,8 @@ def closed_boxes(k: int, halftwists) -> list[Diagram]:
 def r3_subjects() -> list[Diagram]:
     """The 3-strand closed boxes of -3..3 half twists, and the expanded
     corpus diagrams that have boxes.  An odd twist links two closed strands
-    an odd number of times, so those boxes do not validate; r3 does not
-    validate its input, and they test it all the same."""
+    an odd number of times, so those boxes do not validate, and r3 refuses
+    every triple of them at its gate."""
     from kirby import corpus
 
     subjects = closed_boxes(3, range(-3, 4))
@@ -1393,23 +1393,34 @@ def r3_subjects() -> list[Diagram]:
     return subjects
 
 
-def r3_sites(subjects):
-    """Every ordered triple of distinct crossings of each subject."""
-    for d in subjects:
-        for site in itertools.permutations([x.id for x in d.crossings], 3):
-            yield d, site
+def r3_sites(d: Diagram, sharing: bool = False):
+    """Every ordered triple of distinct crossings of d or, with ``sharing``,
+    those in which every two crossings share an edge: only they can bound a
+    triangle."""
+    for site in itertools.permutations([x.id for x in d.crossings], 3):
+        edges = [set(d.crossing(xid).edges) for xid in site]
+        if not sharing or all(e & f for e, f in itertools.combinations(edges, 2)):
+            yield site
 
 
 def test_r3_matches_the_named_slot_reference_on_every_triple():
+    # on an invalid subject the reference does not apply: r3 refuses it
+    subjects = [(d, False) for d in r3_subjects()]
+    subjects += [(d, True) for d in closed_boxes(4, (-2, 2))]
     moves = refused = 0
-    for d, site in r3_sites(r3_subjects()):
-        got = outcome(pdcode.r3, d, *site)
-        assert got == outcome(r3_by_named_slots, d, *site), (d.name, site)
-        if isinstance(got, Diagram):
-            moves += 1
-        else:
-            assert got[0] is pdcode.MoveError, (d.name, site, got)
-            refused += 1
+    for d, sharing in subjects:
+        problems = pdcode.validate(d)
+        for site in r3_sites(d, sharing):
+            got = outcome(pdcode.r3, d, *site)
+            if problems:
+                assert got == (pdcode.MoveError, f"R3 on an invalid diagram: {problems[0]}")
+            else:
+                assert got == outcome(r3_by_named_slots, d, *site), (d.name, site)
+            if isinstance(got, Diagram):
+                moves += 1
+            else:
+                assert got[0] is pdcode.MoveError, (d.name, site, got)
+                refused += 1
     assert moves >= 150 and refused >= 3000, (moves, refused)
 
 
@@ -1429,21 +1440,117 @@ def named_like(d: Diagram, like: Diagram) -> Diagram:
 
 
 def test_r3_twice_at_the_same_crossings_gives_the_diagram_back():
-    # on valid subjects, 4-strand boxes among them; only triples in which
-    # every two crossings share an edge can bound a triangle
-    subjects = closed_boxes(4, (-2, 2)) + r3_subjects()
+    # on valid subjects, 4-strand boxes among them
+    subjects = [d for d in closed_boxes(4, (-2, 2)) + r3_subjects() if not pdcode.validate(d)]
     moves = 0
-    for d, site in r3_sites([d for d in subjects if not pdcode.validate(d)]):
-        edges = [set(d.crossing(xid).edges) for xid in site]
-        if not all(e & f for e, f in itertools.combinations(edges, 2)):
-            continue
-        try:
-            out = pdcode.r3(d, *site)
-        except pdcode.MoveError:
-            continue
-        moves += 1
-        assert pdcode.validate(out) == [], (d.name, site)
-        assert pdcode.linking_matrix(out) == pdcode.linking_matrix(d), (d.name, site)
-        back, dn = pdcode.r3(out, *site), pdcode.normalize(d)
-        assert named_like(back, dn) == dn, (d.name, site)
+    for d in subjects:
+        for site in r3_sites(d, sharing=True):
+            try:
+                out = pdcode.r3(d, *site)
+            except pdcode.MoveError:
+                continue
+            moves += 1
+            assert pdcode.validate(out) == [], (d.name, site)
+            assert pdcode.linking_matrix(out) == pdcode.linking_matrix(d), (d.name, site)
+            back, dn = pdcode.r3(out, *site), pdcode.normalize(d)
+            assert named_like(back, dn) == dn, (d.name, site)
     assert moves >= 300, moves
+
+
+def face_pairs(d: Diagram) -> list[tuple[str, str]]:
+    """Every ordered pair of distinct edges on a face of d's planar
+    reading, if it has one."""
+    try:
+        faces = pdcode.trace_faces(pdcode._planar(d).inc)
+    except pdcode.DiagramError:
+        return []
+    return sorted({(e, f) for face in faces for e, _ in face for f, _ in face if e != f})
+
+
+def poked(d: Diagram) -> Diagram:
+    """d with a positive kink on its least edge, then an R2 pair at the
+    first pair of face edges that takes one."""
+    d = pdcode.r1_insert(d, min(d.edge_owner()), 1)
+    for e, f in face_pairs(d):
+        with contextlib.suppress(pdcode.MoveError):
+            return pdcode.r2_insert(d, e, f)
+    return d
+
+
+def reversed_cycles(poke: bool = False) -> list[Diagram]:
+    """Each boxed corpus diagram with its component cycles reversed and its
+    box strands kept, so that every box strand runs against its declared
+    direction.  With ``poke`` it gets a kink and an R2 pair first, so that
+    removal sites remain that pass their site checks."""
+    from kirby import corpus
+
+    boxed = [d for _, d in sorted(corpus.load_document().diagrams.items()) if d.boxes]
+    return [
+        replace(d, name=f"{d.name}.rev",
+                components=tuple(replace(c, edges=c.edges[::-1]) for c in d.components))
+        for d in (map(poked, boxed) if poke else boxed)
+    ]
+
+
+def test_reversed_box_strands_are_invalid():
+    # fused, K_m2's cycle is (k1, k2), which runs through both box strands
+    # in either direction; its own cycle runs through each once
+    subjects = reversed_cycles()
+    assert len(subjects) == 32
+    for d in subjects:
+        assert "declared orientation contradicts the component cycle" in str(pdcode.validate(d))
+    k_m2 = next(d for d in subjects if d.name == "K_m2.rev")
+    assert pdcode.validate(k_m2) == [
+        f"box T strand {row}: declared orientation contradicts the component cycle"
+        for row in (0, 1)
+    ]
+
+
+def move_calls(d: Diagram):
+    """(move name, move, site) of R1 insertion at every edge with both
+    signs, R1 removal at every crossing, R2 removal at every pair of
+    geometric crossings that share two edges, R3 at every triple of them
+    that share edges pairwise, and R2 insertion at every pair of face
+    edges."""
+    geometric = replace(d, crossings=tuple(x for x in d.crossings if x.is_geometric))
+    for e in sorted(d.edge_owner()):
+        for sign in (1, -1):
+            yield "R1", pdcode.r1_insert, (e, sign)
+    for x in d.crossings:
+        yield "R1", pdcode.r1_remove, (x.id,)
+    for x, y in itertools.combinations(geometric.crossings, 2):
+        if len(set(x.edges) & set(y.edges)) >= 2:
+            yield "R2", pdcode.r2_remove, (x.id, y.id)
+    for site in r3_sites(geometric, sharing=True):
+        yield "R3", pdcode.r3, site
+    for e, f in face_pairs(d):
+        yield "R2", pdcode.r2_insert, (e, f)
+
+
+def test_r_moves_take_valid_diagrams_to_valid_ones_and_refuse_invalid_ones():
+    # each call returns a diagram that validates or raises DiagramError; on
+    # an invalid input each raises MoveError, the gate's naming the first
+    # violation unless a removal's site check, which runs first, refused
+    from kirby import corpus
+
+    diagrams = [d for _, d in sorted(corpus.load_document().diagrams.items())]
+    subjects = diagrams + [pdcode.expand_twistboxes(d) for d in diagrams if d.boxes]
+    subjects += closed_boxes(3, range(-3, 4)) + reversed_cycles() + reversed_cycles(poke=True)
+    removals = (pdcode.r1_remove, pdcode.r2_remove)
+    applied, gated = 0, dict.fromkeys((pdcode.r1_insert, pdcode.r2_insert, pdcode.r3, *removals), 0)
+    for d in subjects:
+        problems = pdcode.validate(d)
+        for name, move, site in move_calls(d):
+            got = outcome(move, d, *site)
+            where = (d.name, move.__name__, site, got)
+            if isinstance(got, Diagram):
+                assert not problems and pdcode.validate(got) == [], where
+                applied += 1
+            elif not problems:
+                assert issubclass(got[0], pdcode.DiagramError), where
+            elif got == (pdcode.MoveError, f"{name} on an invalid diagram: {problems[0]}"):
+                gated[move] += 1
+            else:
+                assert got[0] is pdcode.MoveError and move in removals, where
+    # every move's gate is seen to refuse
+    assert applied >= 1900 and min(gated.values()) >= 15, (applied, gated)
