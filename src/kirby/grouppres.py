@@ -665,10 +665,10 @@ def wirtinger(d) -> GroupPresentation:
     Round components must be split from everything else; each contributes
     a free generator.  A structural fault of d, such as an ``over`` other
     than 0 or 1 or a crossing on an edge that no component declares,
-    raises DiagramError naming the first that ``validate`` lists, as
-    ``expand_twistboxes`` does.
+    raises DiagramError naming the first that ``validate`` lists: d is
+    read through ``expand_twistboxes``, which refuses it.
     """
-    p = pdcode._planar(pdcode.expand_twistboxes(d) if d.boxes else pdcode._sound(d))
+    p = pdcode._planar(pdcode.expand_twistboxes(d))
     d = p.diagram
     for x in d.crossings:
         if not x.is_geometric:

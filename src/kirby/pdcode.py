@@ -48,9 +48,10 @@ check in front of the Reidemeister moves: each of the five refuses an
 invalid input through it, once its site checks have passed.
 ``_planar`` builds the one planar reading of a diagram state, a ``_Planar``
 record: one ``_collect_pairings`` reading of the slots finds every weld, one
-``_fuse`` joins them all, and the record holds the fused diagram, its slots
-and its incidence.  ``validate``, R2 insertion and its edge splits, the R2
-and R3 sites, the Wirtinger arcs and blowdowns all read it.
+``_fuse`` joins them all, and the record holds the fused diagram, its slots,
+its incidence and the faces of that incidence.  ``validate``, R2 insertion
+and its edge splits, the R2 and R3 sites, the Wirtinger arcs and blowdowns
+all read it.
 """
 
 from __future__ import annotations
@@ -467,9 +468,10 @@ def _pieces(nodes, pairs) -> list[set]:
 class _Planar:
     """The one planar reading of a diagram state, built by ``_planar``: the
     diagram with its welds fused, its slot reading and, on demand, its
-    incidence with the sign faults under it.  It is passed explicitly, never
-    kept on the frozen ``Diagram``, whose ``==`` and ``repr`` would not show
-    it."""
+    incidence with the sign faults under it and the faces of that incidence,
+    each read once however many checks and moves ask.  It is passed
+    explicitly, never kept on the frozen ``Diagram``, whose ``==`` and
+    ``repr`` would not show it."""
 
     diagram: Diagram
     slots: _Slots
@@ -481,6 +483,10 @@ class _Planar:
     @property
     def inc(self) -> Incidence:
         return self.resolved[0]
+
+    @cached_property
+    def faces(self) -> list[list[tuple[str, int]]]:
+        return trace_faces(self.inc)
 
 
 def _planar(d: Diagram) -> _Planar:
@@ -808,7 +814,7 @@ def _checked(d: Diagram) -> tuple[list[str], _Planar | None]:
     # planarity: every connected piece of the map is a sphere; V - E + F of
     # each piece is counted in one pass through a vertex -> piece map
     try:
-        faces = trace_faces(inc)
+        faces = plan.faces
     except DiagramError as err:
         return out + [str(err)], plan
     vertices = [v for v, rot in inc.rotation.items() if rot]
@@ -1278,11 +1284,9 @@ def r1_insert(d: Diagram, edge: str, sign: int) -> Diagram:
     owner = d.edge_owner()
     if edge not in owner:
         raise MoveError(f"no edge {edge!r}")
-    p = _gate(d, "R1")
+    _gate(d, "R1")
     g, f = d.fresh_edges(2)
-    # the kink goes on d itself, welds and all; without welds p read d
-    inc = p.inc if p.diagram is d else resolve_incidence(d)
-    d2 = _split_edges(d, inc, {edge: [edge, g, f]})
+    d2 = _split_edges(d, resolve_incidence(d), {edge: [edge, g, f]})
     x = Crossing(
         id=d.fresh_id("r1_"),
         sign=sign,
@@ -1342,7 +1346,7 @@ def r2_insert(d: Diagram, over_edge: str, under_edge: str) -> Diagram:
         layout = min(
             (
                 _R2_LAYOUT[d_e, d_f]
-                for face in trace_faces(inc)
+                for face in p.faces
                 for e, d_e in face if e == over_edge
                 for f, d_f in face if f == under_edge
             ),
@@ -1379,7 +1383,7 @@ def r2_remove(d: Diagram, xid1: str, xid2: str) -> Diagram:
         raise MoveError(f"crossings {xid1},{xid2} share {len(shared)} edges")
     if x1.sign + x2.sign != 0:
         raise MoveError("crossing signs do not cancel")
-    faces = trace_faces(_gate(d, "R2").inc)
+    faces = _gate(d, "R2").faces
     bigons = {frozenset(dart[0] for dart in face) for face in faces if len(face) == 2}
 
     def is_site(em, fm):
@@ -1427,7 +1431,7 @@ def r3(d: Diagram, xid1: str, xid2: str, xid3: str) -> Diagram:
         return frozenset((tail[0], head[0]))
 
     site = None
-    for face in trace_faces(inc):
+    for face in p.faces:
         if len(face) != 3:
             continue
         edges = [dart[0] for dart in face]

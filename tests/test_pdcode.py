@@ -1272,6 +1272,21 @@ def test_r2_insert_resolves_its_input_once(monkeypatch):
         assert pdcode.validate(poked) == [], (d.name, e, f)
 
 
+def test_face_moves_trace_their_input_once(monkeypatch):
+    # the gate's planarity check and the R2 layout, bigon and triangle
+    # lookups all read the faces of one planar record
+    calls = counting(monkeypatch, "trace_faces")
+    pushed = pdcode.r2_insert(hopf(), "a1", "b1")
+    assert calls["trace_faces"] == 1
+    pair = [x.id for x in pushed.crossings if x.id not in {"x1", "x2"}]
+    calls["trace_faces"] = 0
+    assert pdcode.validate(pdcode.r2_remove(pushed, *pair)) == []
+    assert calls["trace_faces"] == 2  # the move's, then validate's own
+    calls["trace_faces"] = 0
+    pdcode.r3(three_strand_braid(), "Xx0", "Xx1", "Xx2")
+    assert calls["trace_faces"] == 1
+
+
 def test_wirtinger_normalizes_once(monkeypatch):
     calls = counting(monkeypatch, "normalize")
     assert str(grouppres.wirtinger(torus_knot(5))).startswith("<")
